@@ -8,23 +8,28 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import io, report
 from .errors import ConfigError, PhaseqError
 from .fock import ho_spectrum
-from .phasespace import default_grid
+from .phasespace import default_grid, liouville_propagate
 from .report import SuiteConfig
 from .schrodinger import (
     PositionGrid,
     coherent_state,
+    default_steps,
     equivalence_report,
     hermite_eigenstate,
     split_step_evolve,
 )
 from .spin import spin_spectrum
 from .wigner import wavefunction_to_density
+
+# Largest split-step count evolve will run: 25,000 periods at the 40-step floor.
+MAX_EVOLVE_STEPS = 1_000_000
 
 
 def _load_config(path: str | None) -> SuiteConfig:
@@ -97,8 +102,19 @@ def _parse_state(spec: str, grid: PositionGrid, config: SuiteConfig):
 
 
 def cmd_evolve(args) -> int:
+    if not math.isfinite(args.time):
+        raise ConfigError(f"--time must be finite, got {args.time}")
     config = _load_config(args.config)
     grid = default_grid(config.grid_extent, config.grid_points)
+    try:
+        n_steps = default_steps(grid.n_q, args.time, config.params.omega)
+    except OverflowError:  # omega * time beyond the float range
+        n_steps = math.inf
+    if n_steps > MAX_EVOLVE_STEPS:
+        raise ConfigError(
+            f"--time {args.time} needs {n_steps:.3g} split steps, "
+            f"above the limit {MAX_EVOLVE_STEPS}"
+        )
     line = PositionGrid(grid.q_min, grid.q_max, grid.n_q)
     state = _parse_state(args.state, line, config)
     out_dir = Path(args.out or "evolve_out")
@@ -108,15 +124,13 @@ def cmd_evolve(args) -> int:
     density0 = wavefunction_to_density(state, grid, config.params)
     io.save_phase_density(density0, out_dir / "density_t0")
 
-    comparison = equivalence_report(state, args.time, config.params, grid)
+    comparison = equivalence_report(state, args.time, config.params, grid, n_steps)
     evolved = (
         state
         if args.time == 0.0
-        else split_step_evolve(state, args.time, comparison.n_steps, config.params)
+        else split_step_evolve(state, args.time, n_steps, config.params)
     )
     io.save_wavefunction(evolved, out_dir / "wavefunction_t1")
-    from .phasespace import liouville_propagate
-
     density1 = liouville_propagate(density0, args.time, config.params)
     io.save_phase_density(density1, out_dir / "density_t1")
 

@@ -194,14 +194,6 @@ def fock_state_from_poly(poly: BargmannPoly, dim: int) -> FockState:
     return FockState(dim, vec, False)
 
 
-def poly_from_fock_state(state: FockState) -> BargmannPoly:
-    c = np.array(
-        [state.values[n] / math.sqrt(math.factorial(n)) for n in range(state.dim)],
-        dtype=np.complex128,
-    )
-    return BargmannPoly(c)
-
-
 @dataclass(frozen=True)
 class PhaseCircleReport:
     """Pointwise deviations of the ladder actions on the unit phase circle."""

@@ -2,9 +2,10 @@
 
 Densities live on rectangular (q, p) grids with power-of-two point counts so
 the transform modules can run exact discrete Fourier pairs on the same data.
-Propagation follows characteristics backwards through the closed-form flow
-and resamples with a prefiltered bicubic spline: there is no time-stepping
-error, only interpolation error.
+For the oscillator, Liouville transport is a rigid rotation of (q, p/m w).
+Propagation factors that rotation into shears, and each shear translates
+every grid line by a Fourier phase ramp: there is no time-stepping error,
+and the transport is exact for band-limited densities.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _spectral
 from .errors import BoundaryLeak
 
 
@@ -159,31 +160,39 @@ def frame_mass(density: PhaseDensity) -> float:
     return float(total * density.grid.dq * density.grid.dp)
 
 
-def liouville_propagate(
-    f: PhaseDensity, t: float, par: PhysParams, backend: str | None = None
-) -> PhaseDensity:
+def liouville_propagate(f: PhaseDensity, t: float, par: PhysParams) -> PhaseDensity:
     """Transport a density along the flow for time t.
 
-    Every node is backtraced through the closed-form flow and the initial
-    density is resampled there with the prefiltered bicubic spline; points
-    that backtrace out of the grid contribute zero density.
+    The flow turns (q, v = p/m w) clockwise by the angle w t, reduced to
+    [-pi, pi] so that whole periods are the identity.  The angle is split
+    into equal sub-rotations a of at most pi/4, each the product of three
+    shears (Paeth 1986): q += tan(a/2) v, then v -= sin(a) q, then
+    q += tan(a/2) v again.  Every shear translates each grid line by a
+    spectral phase ramp, exact for band-limited densities; content pushed
+    out of the window is dropped rather than wrapped, so the density stays
+    zero outside its grid.
     """
     grid = f.grid
-    qm, pm = grid.meshes()
-    c = math.cos(par.omega * t)
-    s = math.sin(par.omega * t)
-    mw = par.m * par.omega
-    q_src = qm * c - (pm / mw) * s
-    p_src = pm * c + mw * qm * s
-    xi = (q_src - grid.q_min) / grid.dq
-    yi = (p_src - grid.p_min) / grid.dp
-    coefficients, sample = _kernels.resolve(backend)
-    new_values = sample(coefficients(f.values), xi, yi)
+    theta = math.remainder(par.omega * t, 2.0 * math.pi)
+    turns = math.ceil(abs(theta) / (math.pi / 4.0))
+    new_values = np.array(f.values)
+    if turns:
+        a = theta / turns
+        mw = par.m * par.omega
+        # a shear moving q by b v samples the density at q - b v
+        shear_q = _spectral.shear(
+            grid.n_q, grid.q_max - grid.q_min, -math.tan(0.5 * a) * grid.p / mw, axis=0
+        )
+        shear_p = _spectral.shear(
+            grid.n_p, grid.p_max - grid.p_min, math.sin(a) * mw * grid.q, axis=1
+        )
+        for _ in range(turns):
+            new_values = shear_q(shear_p(shear_q(new_values)))
     result = PhaseDensity(grid, new_values, f.time + t)
     leaked = frame_mass(result)
     if leaked > FRAME_MASS_LIMIT:
         raise BoundaryLeak(
-            f"{leaked:.3e} of mass in the outer {FRAME_CELLS}-cell frame after backtrace"
+            f"{leaked:.3e} of mass in the outer {FRAME_CELLS}-cell frame after transport"
         )
     return result
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _spectral
 from .errors import BoundaryLeak, GridMismatch, GridTooNarrow, NormDrift
-from .phasespace import NATURAL, PhaseGrid, PhysParams
+from .phasespace import NATURAL, PhaseGrid, PhysParams, _is_power_of_two, liouville_propagate
 
 # Strict state invariant, checked by WaveFunction.validate().
 BOUNDARY_RATIO_LIMIT = 1e-10
@@ -23,10 +23,6 @@ BOUNDARY_RATIO_LIMIT = 1e-10
 # ratio 1.3e-10, so guarding at the strict level would reject it.
 BOUNDARY_GUARD = 1e-8
 NORM_DRIFT_LIMIT = 1e-8
-
-
-def _is_power_of_two(n) -> bool:
-    return isinstance(n, (int, np.integer)) and n >= 2 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -212,8 +208,8 @@ class EquivalenceReport:
 def default_steps(grid_points: int, t: float, omega: float) -> int:
     """Step count for the equivalence run: refine time with the grid.
 
-    Two steps per grid point keeps the O(dt^2) splitting error and the
-    O(dq^4) transport error shrinking together under refinement.
+    Two steps per grid point makes the O(dt^2) splitting error shrink under
+    grid refinement; the spectral transport has no step error of its own.
     """
     return max(2 * grid_points, minimum_steps(t, omega))
 
@@ -232,7 +228,6 @@ def equivalence_report(
     the quadratic Hamiltonian the two agree up to discretisation error.
     """
     from . import wigner  # deferred: wigner imports this module's types
-    from .phasespace import liouville_propagate
 
     if grid is None:
         grid = wigner.matched_phase_grid(phi0.grid, par)

@@ -88,6 +88,21 @@ def test_evolve_unknown_state(tmp_path):
                  "--out", str(tmp_path / "run")]) == 2
 
 
+@pytest.mark.parametrize("time", ["nan", "inf"])
+def test_evolve_rejects_non_finite_time(tmp_path, capsys, time):
+    out = tmp_path / "run"
+    assert main(["evolve", "--state", "eigenstate:0", "--time", time, "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_refuses_step_count_above_limit(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["evolve", "--state", "eigenstate:0", "--time", "1e300", "--out", str(out)]) == 2
+    assert "split steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _small_config(tmp_path, n=64):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"grid": {"extent": 8, "n": n}}))
