@@ -7,6 +7,7 @@ Exit codes: 0 success (all thresholded checks pass), 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
 import math
 import sys
@@ -15,18 +16,16 @@ from pathlib import Path
 from . import io, report
 from .errors import ConfigError, PhaseqError
 from .fock import ho_spectrum
-from .phasespace import default_grid, liouville_propagate
-from .report import SuiteConfig
+from .phasespace import default_grid
+from .report import SuiteConfig, bound_dense
 from .schrodinger import (
     PositionGrid,
     coherent_state,
     default_steps,
     equivalence_report,
     hermite_eigenstate,
-    split_step_evolve,
 )
 from .spin import spin_spectrum
-from .wigner import wavefunction_to_density
 
 # Largest split-step count evolve will run: 25,000 periods at the 40-step floor.
 MAX_EVOLVE_STEPS = 1_000_000
@@ -66,8 +65,8 @@ def cmd_verify(args) -> int:
 def cmd_spectrum(args) -> int:
     config = _load_config(args.config)
     if args.cutoff < 2:
-        print("error: --cutoff must be at least 2", file=sys.stderr)
-        return 2
+        raise ConfigError("--cutoff must be at least 2")
+    bound_dense("--cutoff", args.cutoff, args.cutoff ** 2)
     spectrum = ho_spectrum(args.cutoff, config.params)
     out = Path(args.out or "spectrum.csv")
     io.save_spectrum_csv(out, spectrum)
@@ -78,8 +77,8 @@ def cmd_spectrum(args) -> int:
 def cmd_spin(args) -> int:
     config = _load_config(args.config)
     if args.n_max < 0:
-        print("error: --n-max must be nonnegative", file=sys.stderr)
-        return 2
+        raise ConfigError("--n-max must be nonnegative")
+    bound_dense("--n-max", args.n_max, (args.n_max + 1) ** 4)
     dim = args.n_max + 1 if args.n_max >= 1 else 2
     rows = [row for row in spin_spectrum(dim, config.params) if row.sector <= args.n_max]
     out = Path(args.out or "spin_spectrum.csv")
@@ -117,22 +116,14 @@ def cmd_evolve(args) -> int:
         )
     line = PositionGrid(grid.q_min, grid.q_max, grid.n_q)
     state = _parse_state(args.state, line, config)
+    comparison = equivalence_report(state, args.time, config.params, grid, n_steps)
+
     out_dir = Path(args.out or "evolve_out")
     out_dir.mkdir(parents=True, exist_ok=True)
-
     io.save_wavefunction(state, out_dir / "wavefunction_t0")
-    density0 = wavefunction_to_density(state, grid, config.params)
-    io.save_phase_density(density0, out_dir / "density_t0")
-
-    comparison = equivalence_report(state, args.time, config.params, grid, n_steps)
-    evolved = (
-        state
-        if args.time == 0.0
-        else split_step_evolve(state, args.time, n_steps, config.params)
-    )
-    io.save_wavefunction(evolved, out_dir / "wavefunction_t1")
-    density1 = liouville_propagate(density0, args.time, config.params)
-    io.save_phase_density(density1, out_dir / "density_t1")
+    io.save_phase_density(comparison.initial, out_dir / "density_t0")
+    io.save_wavefunction(comparison.evolved, out_dir / "wavefunction_t1")
+    io.save_phase_density(comparison.transported, out_dir / "density_t1")
 
     payload = {
         "state": args.state,
@@ -143,8 +134,6 @@ def cmd_evolve(args) -> int:
         "max_distance": comparison.max_distance,
     }
     if not args.no_timestamp:
-        import datetime
-
         payload["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     (out_dir / "equivalence.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"fields and equivalence report written to {out_dir}")

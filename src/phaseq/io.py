@@ -1,4 +1,4 @@
-"""CSV/JSON serialisation of fields, spectra, and polynomial amplitudes.
+"""CSV/JSON serialisation of fields and spectra.
 
 Matrix fields go to plain CSV (rows follow the q index ascending, columns
 the second index ascending) with a JSON sidecar carrying the grid and time;
@@ -12,11 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock import BargmannPoly, SpectrumResult
+from .fock import SpectrumResult
 from .phasespace import PhaseDensity, PhaseGrid
 from .schrodinger import PositionGrid, WaveFunction
 from .spin import SpinSpectrumRow
-from .wigner import DensitySlice
 
 _FLOAT = "%.17g"
 
@@ -61,30 +60,6 @@ def load_phase_density(stem) -> PhaseDensity:
     return PhaseDensity(grid, values, meta["time"])
 
 
-def save_density_slice(rho: DensitySlice, stem) -> tuple[Path, Path, Path]:
-    stem = Path(stem)
-    real_path = stem.parent / (stem.name + "_real.csv")
-    imag_path = stem.parent / (stem.name + "_imag.csv")
-    np.savetxt(real_path, rho.values.real, delimiter=",", fmt=_FLOAT)
-    np.savetxt(imag_path, rho.values.imag, delimiter=",", fmt=_FLOAT)
-    json_path = _sidecar_path(stem)
-    _write_json(json_path, _grid_header(rho.grid, rho.time))
-    return real_path, imag_path, json_path
-
-
-def load_density_slice(stem, hbar: float = 1.0) -> DensitySlice:
-    stem = Path(stem)
-    meta = json.loads(_sidecar_path(stem).read_text())
-    grid = PhaseGrid(
-        meta["q_min"], meta["q_max"], meta["p_min"], meta["p_max"],
-        int(meta["n_q"]), int(meta["n_p"]),
-    )
-    real = np.loadtxt(stem.parent / (stem.name + "_real.csv"), delimiter=",")
-    imag = np.loadtxt(stem.parent / (stem.name + "_imag.csv"), delimiter=",")
-    values = real.reshape(grid.n_q, grid.n_p) + 1j * imag.reshape(grid.n_q, grid.n_p)
-    return DensitySlice(grid, values, meta["time"], hbar)
-
-
 def save_wavefunction(phi: WaveFunction, stem) -> tuple[Path, Path]:
     stem = Path(stem)
     csv_path = stem.with_suffix(".csv")
@@ -125,26 +100,3 @@ def save_spin_csv(path, rows: list[SpinSpectrumRow], hbar: float = 1.0) -> Path:
         )
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-def save_residual_field(stem, positions, values, equation: str, convention: str) -> tuple[Path, Path]:
-    stem = Path(stem)
-    csv_path = stem.with_suffix(".csv")
-    table = np.column_stack([positions, values])
-    np.savetxt(csv_path, table, delimiter=",", fmt=_FLOAT, header="q,residual", comments="")
-    json_path = _sidecar_path(stem)
-    _write_json(json_path, {"equation": equation, "convention": convention})
-    return csv_path, json_path
-
-
-def save_bargmann_poly(path, poly: BargmannPoly) -> Path:
-    path = Path(path)
-    payload = {"coeffs": [[float(c.real), float(c.imag)] for c in poly.coeffs]}
-    _write_json(path, payload)
-    return path
-
-
-def load_bargmann_poly(path) -> BargmannPoly:
-    data = json.loads(Path(path).read_text())
-    coeffs = np.array([complex(re, im) for re, im in data["coeffs"]], dtype=np.complex128)
-    return BargmannPoly(coeffs)

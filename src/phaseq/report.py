@@ -1,11 +1,21 @@
 """The equation-by-equation verification suite behind the verify subcommand.
 
 Every numbered equation of the audited derivation chain gets exactly one
-entry.  Thresholded entries pass or fail at a tolerance pinned here;
-"reported" entries carry a measured residual for written conventions that
-are internally inconsistent, and make no zero assertion.  Entries with a
--literal suffix measure the written convention where the main entry uses
-the repaired one.
+entry, declared once: the ``@_check`` decorator names its equation id,
+threshold, the ``module.operation`` it audits, a detail line and its
+convention, and registers the function below it.  The function returns the
+residual, or ``(residual, detail)`` when the detail quotes a measured value.
+``run_suite`` applies the one status rule: a ``None`` threshold makes the
+entry "reported", otherwise it passes when the residual is below the
+threshold.  "Reported" entries carry a measured residual for written
+conventions that are internally inconsistent, and make no zero assertion.
+Entries with a -literal suffix measure the written convention where the main
+entry uses the repaired one.
+
+Definition order is the run order, the report order, and the order in which
+the checks draw from the one shared random generator, so moving a check
+changes the random points of every later one.  Keep the checks in equation
+order and register each one explicitly, never from a loop.
 
 The equivalence entry follows the configured grid so refinement behaviour
 can be measured from the command line; entries with grid-pinned tolerances
@@ -16,8 +26,9 @@ from __future__ import annotations
 
 import datetime
 import math
-import re
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,6 +44,41 @@ REPORTED = "reported"
 LITERAL = "paper-literal"
 REPAIRED = "repaired"
 
+# Largest single dense complex array (16 B per element) a size input may
+# imply.  It admits grids and truncations up to 2048 and spin up to n-max 44.
+MAX_DENSE_BYTES = 64 * 2 ** 20
+
+
+def bound_dense(what: str, value: int, elements: int) -> None:
+    """Refuse a size input before allocation when its largest dense array exceeds the cap."""
+    if 16 * elements > MAX_DENSE_BYTES:
+        raise ConfigError(
+            f"{what} {value} needs a dense complex array above the "
+            f"{MAX_DENSE_BYTES >> 20} MiB limit"
+        )
+
+
+def _object(value, what: str, known: set[str]) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = set(value) - known
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return value
+
+
+def _number(section: dict, key: str, default, integral: bool = False):
+    value = section.get(key, default)
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # exact for ints of any size, and false for nan and inf
+    if not (numeric and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if not integral:
+        return float(value)
+    if value != int(value):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -40,48 +86,38 @@ class SuiteConfig:
     grid_extent: float = 8.0
     grid_points: int = 256
     truncation: int = 64
-    spin_n_max: int = 7
     seed: int = 20260810
 
     @staticmethod
     def from_mapping(data) -> "SuiteConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("configuration must be a JSON object")
-        known = {"params", "grid", "truncation", "spin_n_max", "seed"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
+        _object(data, "configuration", {"params", "grid", "truncation", "seed"})
+        raw_params = _object(data.get("params", {}), "params", {"m", "omega", "hbar"})
+        raw_grid = _object(data.get("grid", {}), "grid", {"extent", "n"})
         try:
-            raw_params = data.get("params", {})
-            params = PhysParams(
-                float(raw_params.get("m", 1.0)),
-                float(raw_params.get("omega", 1.0)),
-                float(raw_params.get("hbar", 1.0)),
-            )
-            raw_grid = data.get("grid", {})
-            extent = float(raw_grid.get("extent", 8.0))
-            points = int(raw_grid.get("n", 256))
-            truncation = int(data.get("truncation", 64))
-            spin_n_max = int(data.get("spin_n_max", 7))
-            seed = int(data.get("seed", 20260810))
-        except (TypeError, ValueError) as exc:
+            params = PhysParams(*(_number(raw_params, key, 1.0) for key in ("m", "omega", "hbar")))
+        except ValueError as exc:
             raise ConfigError(f"invalid configuration value: {exc}") from exc
+        extent = _number(raw_grid, "extent", 8.0)
+        points = _number(raw_grid, "n", 256, integral=True)
+        truncation = _number(data, "truncation", 64, integral=True)
+        seed = _number(data, "seed", 20260810, integral=True)
         if extent <= 0:
             raise ConfigError("grid extent must be positive")
         if points < 4 or points & (points - 1):
             raise ConfigError("grid point count must be a power of two >= 4")
+        bound_dense("grid point count", points, points ** 2)
         if truncation < 2:
             raise ConfigError("truncation must be at least 2")
-        if spin_n_max < 0:
-            raise ConfigError("spin_n_max must be nonnegative")
-        return SuiteConfig(params, extent, points, truncation, spin_n_max, seed)
+        bound_dense("truncation", truncation, truncation ** 2)
+        if seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        return SuiteConfig(params, extent, points, truncation, seed)
 
     def as_dict(self) -> dict:
         return {
             "params": {"m": self.params.m, "omega": self.params.omega, "hbar": self.params.hbar},
             "grid": {"extent": self.grid_extent, "n": self.grid_points},
             "truncation": self.truncation,
-            "spin_n_max": self.spin_n_max,
             "seed": self.seed,
         }
 
@@ -98,35 +134,7 @@ class ReportEntry:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "equation_id": self.equation_id,
-            "convention": self.convention,
-            "residual": self.residual,
-            "threshold": self.threshold,
-            "status": self.status,
-            "module": self.module,
-            "operation": self.operation,
-            "detail": self.detail,
-        }
-
-
-def _entry(equation, convention, residual, threshold, module, operation, detail=""):
-    residual = float(residual)
-    if threshold is None:
-        status = REPORTED
-    else:
-        status = PASS if residual < threshold else FAIL
-    return ReportEntry(equation, convention, residual, threshold, status, module, operation, detail)
-
-
-_ID_PATTERN = re.compile(r"Eq\.(\d+)([a-z]*)(-literal)?")
-
-
-def _sort_key(entry: ReportEntry):
-    match = _ID_PATTERN.fullmatch(entry.equation_id)
-    if match is None:
-        return (10 ** 6, entry.equation_id, "")
-    return (int(match.group(1)), match.group(2), match.group(3) or "")
+        return asdict(self)
 
 
 class _Context:
@@ -157,30 +165,57 @@ class _Context:
         return self._cache[key]
 
 
+@dataclass(frozen=True)
+class _Check:
+    equation_id: str
+    threshold: float | None
+    module: str
+    operation: str
+    detail: str
+    convention: str
+    run: Callable[[_Context], object]
+
+
+_CHECKS: list[_Check] = []
+
+
+def _check(equation_id, threshold, target, detail="", convention=LITERAL):
+    """Register the decorated function as the entry of one equation."""
+    module, operation = target.split(".")
+
+    def register(run):
+        _CHECKS.append(_Check(equation_id, threshold, module, operation, detail, convention, run))
+        return run
+
+    return register
+
+
 # ---------------------------------------------------------------------------
 # classical flow and transport
 # ---------------------------------------------------------------------------
 
+@_check("Eq.1", 1e-12, "phasespace.hamiltonian",
+        "quadratic form evaluated against direct substitution")
 def _check_hamiltonian(ctx: _Context):
     par = ctx.par
     pt = PhasePoint(1.0, 1.0)
     expected = 1.0 / (2.0 * par.m) + 0.5 * par.m * par.omega ** 2
     residual = abs(phasespace.hamiltonian(pt, par) - expected)
-    residual = max(residual, abs(phasespace.hamiltonian(PhasePoint(0.0, 0.0), par)))
-    return _entry("Eq.1", LITERAL, residual, 1e-12, "phasespace", "hamiltonian",
-                  "quadratic form evaluated against direct substitution")
+    return max(residual, abs(phasespace.hamiltonian(PhasePoint(0.0, 0.0), par)))
 
 
+@_check("Eq.2", 1e-6, "phasespace.liouville_propagate",
+        "total probability conserved along characteristics")
 def _check_mass_conservation(ctx: _Context):
     par = ctx.par
     grid = ctx.reference_grid()
     density = phasespace.gaussian_density(grid, par, q0=1.0)
     moved = phasespace.liouville_propagate(density, 1.0 / par.omega, par)
-    residual = abs(moved.mass() - density.mass())
-    return _entry("Eq.2", LITERAL, residual, 1e-6, "phasespace", "liouville_propagate",
-                  "total probability conserved along characteristics")
+    return abs(moved.mass() - density.mass())
 
 
+@_check("Eq.3", 1e-8, "phasespace.hamilton_flow",
+        "flow derivative matches the canonical equations of motion")
 def _check_hamilton_equations(ctx: _Context):
     par = ctx.par
     h = 1e-5
@@ -195,28 +230,27 @@ def _check_hamilton_equations(ctx: _Context):
         dp_dt = (ahead.p - behind.p) / (2.0 * h)
         worst = max(worst, abs(dq_dt - here.p / par.m),
                     abs(dp_dt + par.m * par.omega ** 2 * here.q))
-    return _entry("Eq.3", LITERAL, worst, 1e-8, "phasespace", "hamilton_flow",
-                  "flow derivative matches the canonical equations of motion")
+    return worst
 
 
+@_check("Eq.4", 1e-6, "phasespace.liouville_propagate",
+        "an energy-functional density is a fixed point of transport")
 def _check_stationary_density(ctx: _Context):
     par = ctx.par
     grid = ctx.reference_grid()
     density = phasespace.hamiltonian_gaussian(grid, par)
     moved = phasespace.liouville_propagate(density, 1.234 / par.omega, par)
-    residual = float(np.abs(moved.values - density.values).max())
-    return _entry("Eq.4", LITERAL, residual, 1e-6, "phasespace", "liouville_propagate",
-                  "an energy-functional density is a fixed point of transport")
+    return float(np.abs(moved.values - density.values).max())
 
 
+@_check("Eq.5", 1e-10, "wigner.wigner_forward",
+        "forward/inverse offset transform is an exact discrete pair")
 def _check_transform_pair(ctx: _Context):
     par = ctx.par
     grid = ctx.reference_grid()
     density = phasespace.gaussian_density(grid, par, q0=1.0)
     back = wigner.wigner_inverse(wigner.wigner_forward(density, par))
-    residual = float(np.abs(back.values - density.values).max())
-    return _entry("Eq.5", LITERAL, residual, 1e-10, "wigner", "wigner_forward",
-                  "forward/inverse offset transform is an exact discrete pair")
+    return float(np.abs(back.values - density.values).max())
 
 
 def _coherent_on_grid(ctx: _Context, t: float):
@@ -228,6 +262,9 @@ def _coherent_on_grid(ctx: _Context, t: float):
     return wigner.wavefunction_to_slice(state, grid, par)
 
 
+@_check("Eq.6", 1e-4, "wigner.wavefunction_to_slice",
+        "transformed transport equation on analytic coherent slices "
+        "(time derivative by central difference)")
 def _check_slice_equation(ctx: _Context):
     par = ctx.par
     grid = ctx.reference_grid()
@@ -239,9 +276,7 @@ def _check_slice_equation(ctx: _Context):
     rho_t = (ahead.values - behind.values) / (2.0 * dt)
     length_q = grid.q_max - grid.q_min
     length_d = here.delta_step * grid.n_p
-    mixed = spectral_derivative(
-        spectral_derivative(here.values.T, length_q).T, length_d
-    )
+    mixed = spectral_derivative(spectral_derivative(here.values.T, length_q).T, length_d)
     qs = grid.q[:, None]
     ds = here.delta[None, :]
     residual_field = (
@@ -249,12 +284,11 @@ def _check_slice_equation(ctx: _Context):
         - par.hbar ** 2 / par.m * mixed
         + par.m * par.omega ** 2 * qs * ds * here.values
     )
-    residual = float(np.abs(residual_field).max())
-    return _entry("Eq.6", LITERAL, residual, 1e-4, "wigner", "wavefunction_to_slice",
-                  "transformed transport equation on analytic coherent slices "
-                  "(time derivative by central difference)")
+    return float(np.abs(residual_field).max())
 
 
+@_check("Eq.7", 1e-8, "wigner.wavefunction_to_slice",
+        "two-point product of the ground state matches the closed form")
 def _check_product_form(ctx: _Context):
     par = ctx.par
     grid = ctx.reference_grid()
@@ -265,9 +299,7 @@ def _check_product_form(ctx: _Context):
     qs = grid.q[:, None]
     ds = rho.delta[None, :]
     closed = np.sqrt(mw / (np.pi * par.hbar)) * np.exp(-mw * (qs ** 2 + ds ** 2 / 4.0) / par.hbar)
-    residual = float(np.abs(rho.values - closed).max())
-    return _entry("Eq.7", LITERAL, residual, 1e-8, "wigner", "wavefunction_to_slice",
-                  "two-point product of the ground state matches the closed form")
+    return float(np.abs(rho.values - closed).max())
 
 
 def _random_state(ctx: _Context) -> schrodinger.WaveFunction:
@@ -281,16 +313,19 @@ def _random_state(ctx: _Context) -> schrodinger.WaveFunction:
     return phi
 
 
+@_check("Eq.8", 1e-12, "madelung.decompose",
+        "amplitude-action split recomposes to the state up to global phase")
 def _check_polar_split(ctx: _Context):
     par = ctx.par
     phi = _random_state(ctx)
     pair = madelung.decompose(phi, par)
     back = madelung.compose(pair, par)
-    residual = abs(1.0 - phi.fidelity(back))
-    return _entry("Eq.8", LITERAL, residual, 1e-12, "madelung", "decompose",
-                  "amplitude-action split recomposes to the state up to global phase")
+    return abs(1.0 - phi.fidelity(back))
 
 
+@_check("Eq.9", 1e-8, "madelung.phase_gradient",
+        "first-order offset term carries the probability current "
+        "(cells above the node cutoff)")
 def _check_first_order_structure(ctx: _Context):
     par = ctx.par
     grid = ctx.reference_grid()
@@ -302,10 +337,7 @@ def _check_first_order_structure(ctx: _Context):
     pair = madelung.decompose(state, par)
     expected = 1j / par.hbar * pair.amplitude ** 2 * madelung.phase_gradient(pair, par)
     mask = pair.valid_mask()
-    residual = float(np.abs(d_offset[mask] - expected[mask]).max())
-    return _entry("Eq.9", LITERAL, residual, 1e-8, "madelung", "phase_gradient",
-                  "first-order offset term carries the probability current "
-                  "(cells above the node cutoff)")
+    return float(np.abs(d_offset[mask] - expected[mask]).max())
 
 
 def _eigen_pairs(ctx: _Context, n: int, dt: float):
@@ -319,6 +351,8 @@ def _eigen_pairs(ctx: _Context, n: int, dt: float):
     return madelung.decompose(state, par), madelung.decompose(later, par), state
 
 
+@_check("Eq.10", 1e-5, "madelung.continuity_residual",
+        "probability continuity on stationary eigenstate snapshots, n = 0..2")
 def _check_continuity(ctx: _Context):
     par = ctx.par
     dt = 0.05 / par.omega
@@ -328,10 +362,11 @@ def _check_continuity(ctx: _Context):
         res = madelung.continuity_residual(first, second, dt, par)
         window = res.mask & (np.abs(res.grid.q) <= 4.0)
         worst = max(worst, float(np.abs(res.values[window]).max()))
-    return _entry("Eq.10", LITERAL, worst, 1e-5, "madelung", "continuity_residual",
-                  "probability continuity on stationary eigenstate snapshots, n = 0..2")
+    return worst
 
 
+@_check("Eq.11", 1e-5, "madelung.qhj_residual",
+        "phase equation with the curvature term, eigenstates n = 0..2")
 def _check_quantum_hj(ctx: _Context):
     par = ctx.par
     worst = 0.0
@@ -342,10 +377,10 @@ def _check_quantum_hj(ctx: _Context):
         res = madelung.qhj_residual(pair, -par.hbar * par.omega * (n + 0.5), par)
         window = res.mask & (np.abs(grid.q) <= 4.0)
         worst = max(worst, float(np.abs(res.values[window]).max()))
-    return _entry("Eq.11", LITERAL, worst, 1e-5, "madelung", "qhj_residual",
-                  "phase equation with the curvature term, eigenstates n = 0..2")
+    return worst
 
 
+@_check("Eq.12", 1e-3, "schrodinger.equivalence_report")
 def _check_equivalence(ctx: _Context):
     par = ctx.par
     config = ctx.config
@@ -354,10 +389,10 @@ def _check_equivalence(ctx: _Context):
     state = schrodinger.coherent_state(line, par, 1.0, 0.0)
     period = 2.0 * np.pi / par.omega
     report = schrodinger.equivalence_report(state, period, par, grid)
-    return _entry("Eq.12", LITERAL, report.l2_distance, 1e-3, "schrodinger",
-                  "equivalence_report",
-                  f"L2 distance between transport routes at {config.grid_points}^2, "
-                  f"{report.n_steps} steps; max distance {report.max_distance:.3e}")
+    return report.l2_distance, (
+        f"L2 distance between transport routes at {config.grid_points}^2, "
+        f"{report.n_steps} steps; max distance {report.max_distance:.3e}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +400,12 @@ def _check_equivalence(ctx: _Context):
 # ---------------------------------------------------------------------------
 
 def _mode_fields(par: PhysParams):
-    def q1(q, p):
-        return canonical.to_normal_modes(PhasePoint(q, p), par).q1
-
-    def p1(q, p):
-        return canonical.to_normal_modes(PhasePoint(q, p), par).p1
-
-    return q1, p1
+    modes = lambda q, p: canonical.to_normal_modes(PhasePoint(q, p), par)
+    return (lambda q, p: modes(q, p).q1), (lambda q, p: modes(q, p).p1)
 
 
+@_check("Eq.13", 1e-6, "phasespace.poisson_bracket",
+        "finite-difference bracket of the mode pair equals i/hbar")
 def _check_mode_bracket(ctx: _Context):
     par = ctx.par
     q1, p1 = _mode_fields(par)
@@ -382,59 +414,55 @@ def _check_mode_bracket(ctx: _Context):
         pt = PhasePoint(float(qp[0]), float(qp[1]))
         value = phasespace.poisson_bracket(q1, p1, pt)
         worst = max(worst, abs(value - 1j / par.hbar))
-    return _entry("Eq.13", LITERAL, worst, 1e-6, "phasespace", "poisson_bracket",
-                  "finite-difference bracket of the mode pair equals i/hbar")
+    return worst
 
 
+@_check("Eq.14", 1e-12, "canonical.transformed_hamiltonian",
+        "hbar*omega*q1*p1 equals the oscillator energy pointwise")
 def _check_transformed_hamiltonian(ctx: _Context):
     par = ctx.par
     worst = 0.0
     for qp in ctx.random_points(1000):
         pt = PhasePoint(float(qp[0]), float(qp[1]))
         worst = max(worst, canonical.energy_check(pt, par))
-    return _entry("Eq.14", LITERAL, worst, 1e-12, "canonical", "transformed_hamiltonian",
-                  "hbar*omega*q1*p1 equals the oscillator energy pointwise")
+    return worst
 
 
+@_check("Eq.15", 1e-12, "madelung.transformed_liouville_residual",
+        "written advection equation on its own characteristic solution")
 def _check_transformed_liouville(ctx: _Context):
     par = ctx.par
     axis = np.linspace(-2.0, 2.0, 41)
     qq, pp = np.meshgrid(axis, axis, indexing="ij")
-    residual = float(np.abs(
-        madelung.transformed_liouville_residual(qq, pp, 0.3 / (par.hbar * par.omega), par)
-    ).max())
-    return _entry("Eq.15", LITERAL, residual, 1e-12, "madelung",
-                  "transformed_liouville_residual",
-                  "written advection equation on its own characteristic solution")
+    t = 0.3 / (par.hbar * par.omega)
+    return float(np.abs(madelung.transformed_liouville_residual(qq, pp, t, par)).max())
 
 
+@_check("Eq.16", None, "canonical.literal_rate_residual",
+        "written real rate vs the chain-rule rotation i*omega*q1 at |q1| = 1; "
+        "the module implements the rotation")
 def _check_mode_rate(ctx: _Context):
-    par = ctx.par
-    residual = canonical.literal_rate_residual(np.exp(0.3j), par)
-    return _entry("Eq.16", LITERAL, residual, None, "canonical", "normal_mode_flow",
-                  "written real rate vs the chain-rule rotation i*omega*q1 at |q1| = 1; "
-                  "the module implements the rotation")
+    return canonical.literal_rate_residual(np.exp(0.3j), ctx.par)
 
 
+@_check("Eq.17", 1e-10, "wigner.wigner_forward",
+        "the transformed-coordinate definition reuses the same exact discrete pair")
 def _check_transformed_transform(ctx: _Context):
     par = ctx.par
     grid = ctx.reference_grid()
     density = phasespace.hamiltonian_gaussian(grid, par, width=0.8)
     back = wigner.wigner_inverse(wigner.wigner_forward(density, par))
-    residual = float(np.abs(back.values - density.values).max())
-    return _entry("Eq.17", LITERAL, residual, 1e-10, "wigner", "wigner_forward",
-                  "the transformed-coordinate definition reuses the same exact discrete pair")
+    return float(np.abs(back.values - density.values).max())
 
 
+@_check("Eq.18", 1e-12, "madelung.transformed_slice_residual",
+        "written two-point transport equation on a manufactured solution")
 def _check_transformed_slice_equation(ctx: _Context):
     par = ctx.par
     axis = np.linspace(-2.0, 2.0, 41)
     qq, dd = np.meshgrid(axis, axis, indexing="ij")
-    residual = float(np.abs(
-        madelung.transformed_slice_residual(qq, dd, 0.25 / (par.hbar * par.omega), par)
-    ).max())
-    return _entry("Eq.18", LITERAL, residual, 1e-12, "madelung", "transformed_slice_residual",
-                  "written two-point transport equation on a manufactured solution")
+    t = 0.25 / (par.hbar * par.omega)
+    return float(np.abs(madelung.transformed_slice_residual(qq, dd, t, par)).max())
 
 
 def _segment_poly_values(poly: fock.BargmannPoly, positions, offsets):
@@ -443,17 +471,19 @@ def _segment_poly_values(poly: fock.BargmannPoly, positions, offsets):
     return np.conj(fock.bargmann_eval(poly, a)) * fock.bargmann_eval(poly, b)
 
 
+@_check("Eq.19", 1e-12, "fock.bargmann_eval",
+        "two-point product in the transformed coordinate has the Hermitian mirror")
 def _check_transformed_product_form(ctx: _Context):
     poly = fock.BargmannPoly([0.3 + 0.1j, 1.0, 0.0, 0.25j])
     positions = np.linspace(0.1, 4.0, 65)
     offsets = np.linspace(-1.5, 1.5, 31)
     rho = _segment_poly_values(poly, positions, offsets)
     mirrored = np.conj(_segment_poly_values(poly, positions, -offsets))
-    residual = float(np.abs(rho - mirrored).max())
-    return _entry("Eq.19", LITERAL, residual, 1e-12, "madelung", "transformed_pair_residuals",
-                  "two-point product in the transformed coordinate has the Hermitian mirror")
+    return float(np.abs(rho - mirrored).max())
 
 
+@_check("Eq.20", 1e-12, "fock.bargmann_eval",
+        "amplitude-action form reconstructs the polynomial amplitude on the segment")
 def _check_transformed_polar_form(ctx: _Context):
     par = ctx.par
     poly = fock.BargmannPoly([0.5, 1.0, 0.2j])
@@ -462,29 +492,33 @@ def _check_transformed_polar_form(ctx: _Context):
     amplitude = np.abs(values)
     action = par.hbar * np.unwrap(np.angle(values))
     rebuilt = amplitude * np.exp(1j * action / par.hbar)
-    residual = float(np.abs(rebuilt - values).max())
-    return _entry("Eq.20", LITERAL, residual, 1e-12, "madelung", "transformed_pair_residuals",
-                  "amplitude-action form reconstructs the polynomial amplitude on the segment")
+    return float(np.abs(rebuilt - values).max())
 
 
+@_check("Eq.21", None, "madelung.transformed_pair_residuals")
 def _check_transformed_continuity(ctx: _Context):
     par = ctx.par
     res = madelung.transformed_pair_residuals(fock.monomial(0), 0.4 / par.omega, par)
     residual = float(np.abs(res.density_residual).max())
     flipped = float(np.abs(res.density_residual_flipped).max())
-    return _entry("Eq.21", LITERAL, residual, None, "madelung", "transformed_pair_residuals",
-                  f"written source sign leaves (2n+1)*hbar*omega*R^2 standing on the "
-                  f"vacuum amplitude; flipped sign leaves {flipped:.3e}")
+    return residual, (
+        f"written source sign leaves (2n+1)*hbar*omega*R^2 standing on the "
+        f"vacuum amplitude; flipped sign leaves {flipped:.3e}"
+    )
 
 
+@_check("Eq.22", 1e-10, "madelung.transformed_pair_residuals",
+        "phase equation vanishes for separable polynomial amplitudes")
 def _check_transformed_phase(ctx: _Context):
     par = ctx.par
     res = madelung.transformed_pair_residuals(fock.monomial(2), 0.4 / par.omega, par)
-    residual = float(np.abs(res.phase_residual).max())
-    return _entry("Eq.22", LITERAL, residual, 1e-10, "madelung", "transformed_pair_residuals",
-                  "phase equation vanishes for separable polynomial amplitudes")
+    return float(np.abs(res.phase_residual).max())
 
 
+@_check("Eq.23", 1e-6, "fock.bargmann_evolve",
+        "consistent transformed evolution equation along the mode-by-mode flow "
+        "(time derivative by central difference)",
+        convention=REPAIRED)
 def _check_transformed_schrodinger(ctx: _Context):
     par = ctx.par
     poly = fock.BargmannPoly([0.6, 1.0, 0.0, 0.4j])
@@ -500,12 +534,12 @@ def _check_transformed_schrodinger(ctx: _Context):
     )
     time_rate = (fock.bargmann_eval(ahead, positions) - fock.bargmann_eval(behind, positions)) / (2.0 * h)
     lhs = par.hbar * par.omega * (positions * slope + 0.5 * values)
-    residual = float(np.abs(lhs - 1j * par.hbar * time_rate).max())
-    return _entry("Eq.23", REPAIRED, residual, 1e-6, "fock", "bargmann_evolve",
-                  "consistent transformed evolution equation along the mode-by-mode flow "
-                  "(time derivative by central difference)")
+    return float(np.abs(lhs - 1j * par.hbar * time_rate).max())
 
 
+@_check("Eq.23-literal", None, "fock.bargmann_evolve",
+        "written -i*hbar derivative convention against the oscillating solution; "
+        "its literal solution would have the real rate hbar*omega*(1/2 - n)")
 def _check_transformed_schrodinger_literal(ctx: _Context):
     par = ctx.par
     positions = np.linspace(0.1, 4.0, 257)
@@ -519,11 +553,12 @@ def _check_transformed_schrodinger_literal(ctx: _Context):
         lhs = par.hbar * par.omega * (-1j * par.hbar * positions * slope + 0.5j * par.hbar * values)
         rhs = par.hbar * par.omega * (n + 0.5) * values
         worst = max(worst, float(np.abs(lhs - rhs).max() / np.abs(values).max()))
-    return _entry("Eq.23-literal", LITERAL, worst, None, "fock", "bargmann_evolve",
-                  "written -i*hbar derivative convention against the oscillating solution; "
-                  "its literal solution would have the real rate hbar*omega*(1/2 - n)")
+    return worst
 
 
+@_check("Eq.24", 1e-6, "fock.ladder_matrices",
+        "matrix form with the commutator term drives the evolved state "
+        "(time derivative by central difference)")
 def _check_operator_equation(ctx: _Context):
     par = ctx.par
     dim = 16
@@ -535,12 +570,13 @@ def _check_operator_equation(ctx: _Context):
     step = 1e-4 / par.omega
     vec = lambda t: fock.fock_state_from_poly(fock.bargmann_evolve(poly, t, par), dim).values
     time_rate = (vec(t0 + step) - vec(t0 - step)) / (2.0 * step)
-    residual = float(np.abs(1j * par.hbar * time_rate - h @ vec(t0)).max())
-    return _entry("Eq.24", LITERAL, residual, 1e-6, "fock", "ladder_matrices",
-                  "matrix form with the commutator term drives the evolved state "
-                  "(time derivative by central difference)")
+    return float(np.abs(1j * par.hbar * time_rate - h @ vec(t0)).max())
 
 
+@_check("Eq.25", 1e-12, "fock.bargmann_apply",
+        "creation as coordinate multiplication, annihilation as the derivative: "
+        "unit commutator on the polynomial basis",
+        convention=REPAIRED)
 def _check_ladder_identification(ctx: _Context):
     par = ctx.par
     worst = 0.0
@@ -556,24 +592,27 @@ def _check_ladder_identification(ctx: _Context):
         pad = lambda c: np.pad(c, (0, size - c.size))
         diff = pad(raised_lowered.coeffs) - pad(lowered_raised.coeffs) - pad(poly.coeffs)
         worst = max(worst, float(np.abs(diff).max()))
-    return _entry("Eq.25", REPAIRED, worst, 1e-12, "fock", "bargmann_apply",
-                  "creation as coordinate multiplication, annihilation as the derivative: "
-                  "unit commutator on the polynomial basis")
+    return worst
 
 
-def _check_ladder_identification_literal(ctx: _Context):
-    par = ctx.par
+def _written_commutator(par: PhysParams) -> complex:
+    """[a, a+] on z^3 with annihilation written as the -i*hbar derivative."""
     poly = fock.monomial(3)
     raised_lowered = fock.annihilate_written_convention(fock.bargmann_apply("create", poly, par), par)
     lowered_raised = fock.bargmann_apply("create", fock.annihilate_written_convention(poly, par), par)
     diff = raised_lowered.coeffs[: poly.coeffs.size] - lowered_raised.coeffs[: poly.coeffs.size]
-    commutator = diff[poly.degree] / poly.coeffs[poly.degree]
-    residual = abs(commutator - 1.0)
-    return _entry("Eq.25-literal", LITERAL, residual, None, "fock",
-                  "annihilate_written_convention",
-                  f"written convention gives commutator {commutator:.3f} instead of 1")
+    return diff[poly.degree] / poly.coeffs[poly.degree]
 
 
+@_check("Eq.25-literal", None, "fock.annihilate_written_convention")
+def _check_ladder_identification_literal(ctx: _Context):
+    commutator = _written_commutator(ctx.par)
+    return abs(commutator - 1.0), f"written convention gives commutator {commutator:.3f} instead of 1"
+
+
+@_check("Eq.26", 1e-12, "fock.bargmann_apply",
+        "monomial amplitudes are energy eigenfunctions of the transformed operator",
+        convention=REPAIRED)
 def _check_solution_form(ctx: _Context):
     par = ctx.par
     worst = 0.0
@@ -581,22 +620,23 @@ def _check_solution_form(ctx: _Context):
         applied = fock.bargmann_apply("hamiltonian", fock.monomial(n), par)
         expected = par.hbar * par.omega * (n + 0.5)
         worst = max(worst, float(abs(applied.coeffs[n] - expected)))
-    return _entry("Eq.26", REPAIRED, worst, 1e-12, "fock", "bargmann_apply",
-                  "monomial amplitudes are energy eigenfunctions of the transformed operator")
+    return worst
 
 
+@_check("Eq.27", 1e-12, "fock.ho_spectrum", convention=REPAIRED)
 def _check_spectrum(ctx: _Context):
     par = ctx.par
-    spectrum = fock.ho_spectrum(ctx.config.truncation, par)
-    n = np.arange(ctx.config.truncation)
-    expected = par.hbar * par.omega * (n + 0.5)
+    truncation = ctx.config.truncation
+    spectrum = fock.ho_spectrum(truncation, par)
+    expected = par.hbar * par.omega * (np.arange(truncation) + 0.5)
     trusted = spectrum.trusted
     residual = float(np.abs(spectrum.energies[trusted] - expected[trusted]).max())
-    return _entry("Eq.27", REPAIRED, residual, 1e-12, "fock", "ho_spectrum",
-                  f"equidistant spectrum on the trusted block at truncation "
-                  f"{ctx.config.truncation}")
+    return residual, f"equidistant spectrum on the trusted block at truncation {truncation}"
 
 
+@_check("Eq.28", 1e-12, "fock.number_state",
+        "repeated creation on the vacuum: single component sqrt(n!) "
+        "(relative deviation)")
 def _check_number_states(ctx: _Context):
     worst = 0.0
     dim = 16
@@ -604,13 +644,12 @@ def _check_number_states(ctx: _Context):
         state = fock.number_state(n, dim)
         expected = math.sqrt(math.factorial(n))
         worst = max(worst, abs(state.values[n] / expected - 1.0))
-        off = np.abs(np.delete(state.values, n)).max()
-        worst = max(worst, float(off))
-    return _entry("Eq.28", LITERAL, worst, 1e-12, "fock", "number_state",
-                  "repeated creation on the vacuum: single component sqrt(n!) "
-                  "(relative deviation)")
+        worst = max(worst, float(np.abs(np.delete(state.values, n)).max()))
+    return worst
 
 
+@_check("Eq.29", 1e-12, "canonical.phase_angle",
+        "cosine/sine split is consistent on the unit energy shell")
 def _check_angle_definition(ctx: _Context):
     par = ctx.par
     worst = 0.0
@@ -620,10 +659,11 @@ def _check_angle_definition(ctx: _Context):
         sin_term = math.sqrt(par.m * par.omega / (2.0 * par.hbar)) * pt.q
         worst = max(worst, abs(cos_term ** 2 + sin_term ** 2 - 1.0))
         worst = max(worst, abs(canonical.phase_angle(pt, par).theta - theta))
-    return _entry("Eq.29", LITERAL, worst, 1e-12, "canonical", "phase_angle",
-                  "cosine/sine split is consistent on the unit energy shell")
+    return worst
 
 
+@_check("Eq.30", 1e-10, "canonical.phase_angle",
+        "tangent of the resolved angle reproduces m*omega*q/p")
 def _check_tangent(ctx: _Context):
     par = ctx.par
     worst = 0.0
@@ -631,10 +671,11 @@ def _check_tangent(ctx: _Context):
         pt = PhasePoint(float(qp[0]), float(qp[1]) + 3.0)  # keep p away from zero
         theta = canonical.phase_angle(pt, par).theta
         worst = max(worst, abs(math.tan(theta) * pt.p - par.m * par.omega * pt.q) / max(1.0, abs(pt.p)))
-    return _entry("Eq.30", LITERAL, worst, 1e-10, "canonical", "phase_angle",
-                  "tangent of the resolved angle reproduces m*omega*q/p")
+    return worst
 
 
+@_check("Eq.30a", 1e-12, "phasespace.hamilton_flow",
+        "closed-form flow matches the amplitude-phase solution")
 def _check_classical_solution(ctx: _Context):
     par = ctx.par
     worst = 0.0
@@ -648,10 +689,11 @@ def _check_classical_solution(ctx: _Context):
         moved = phasespace.hamilton_flow(start, t, par)
         worst = max(worst, abs(moved.q - amp_q * math.sin(par.omega * t + theta)),
                     abs(moved.p - amp_p * math.cos(par.omega * t + theta)))
-    return _entry("Eq.30a", LITERAL, worst, 1e-12, "phasespace", "hamilton_flow",
-                  "closed-form flow matches the amplitude-phase solution")
+    return worst
 
 
+@_check("Eq.31", 1e-12, "canonical.to_normal_modes",
+        "the mode coordinate is the unit phase factor on the shell")
 def _check_shell_value(ctx: _Context):
     par = ctx.par
     worst = 0.0
@@ -659,45 +701,48 @@ def _check_shell_value(ctx: _Context):
         pt = canonical.shell_point(theta, par)
         q1 = canonical.to_normal_modes(pt, par).q1
         worst = max(worst, abs(q1 - np.exp(1j * theta)))
-    return _entry("Eq.31", LITERAL, worst, 1e-12, "canonical", "to_normal_modes",
-                  "the mode coordinate is the unit phase factor on the shell")
+    return worst
 
 
+@_check("Eq.32", 1e-12, "fock.bargmann_eval",
+        "monomial amplitudes restrict to circle waves e^{i n theta}")
 def _check_circle_waves(ctx: _Context):
     theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     worst = 0.0
     for n in range(0, 11):
         values = fock.bargmann_eval(fock.monomial(n), np.exp(1j * theta))
         worst = max(worst, float(np.abs(values - np.exp(1j * n * theta)).max()))
-    return _entry("Eq.32", LITERAL, worst, 1e-12, "fock", "bargmann_eval",
-                  "monomial amplitudes restrict to circle waves e^{i n theta}")
+    return worst
 
 
+@_check("Eq.33", 1e-12, "fock.phase_circle_action",
+        "raising/lowering shifts the circle wave index by one "
+        "(integer lowering factor divided out)")
 def _check_circle_ladder(ctx: _Context):
     theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     worst = 0.0
     for n in range(0, 11):
         report = fock.phase_circle_action(n, theta)
         worst = max(worst, report.create_deviation, report.annihilate_deviation)
-    return _entry("Eq.33", LITERAL, worst, 1e-12, "fock", "phase_circle_action",
-                  "raising/lowering shifts the circle wave index by one "
-                  "(integer lowering factor divided out)")
+    return worst
 
 
 # ---------------------------------------------------------------------------
 # planar spin functions and two-mode operators
 # ---------------------------------------------------------------------------
 
+@_check("Eq.34", 1e-12, "spin.spin_functions",
+        "quadratic spin functions evaluated against direct substitution")
 def _check_spin_definitions(ctx: _Context):
     par = ctx.par
     values = spin.spin_functions(spin.Phase4Point(1.0, 0.0, 0.0, 1.0), PhysParams(1.0, 1.0, par.hbar))
     worst = max(abs(values.s0 - 1.0), abs(values.s1), abs(values.s2), abs(values.s3 - 0.5))
     origin = spin.spin_functions(spin.Phase4Point(0.0, 0.0, 0.0, 0.0), par)
-    worst = max(worst, abs(origin.s0), abs(origin.s1), abs(origin.s2), abs(origin.s3))
-    return _entry("Eq.34", LITERAL, worst, 1e-12, "spin", "spin_functions",
-                  "quadratic spin functions evaluated against direct substitution")
+    return max(worst, abs(origin.s0), abs(origin.s1), abs(origin.s2), abs(origin.s3))
 
 
+@_check("Eq.35", 1e-12, "spin.spin_functions",
+        "sphere constraint S1^2+S2^2+S3^2 = S0^2/4 at 1000 random points")
 def _check_casimir(ctx: _Context):
     par = ctx.par
     pts = ctx.rng.normal(scale=1.5, size=(1000, 4))
@@ -705,33 +750,31 @@ def _check_casimir(ctx: _Context):
     for row in pts:
         values = spin.spin_functions(spin.Phase4Point(*map(float, row)), par)
         worst = max(worst, values.casimir_residual())
-    return _entry("Eq.35", LITERAL, worst, 1e-12, "spin", "spin_functions",
-                  "sphere constraint S1^2+S2^2+S3^2 = S0^2/4 at 1000 random points")
+    return worst
 
 
+@_check("Eq.36", None, "spin.spin_functions",
+        "the combination sqrt(alpha/beta) = m*omega is adopted as the "
+        "definition of the mass-frequency scale; the separate symbols are "
+        "not exposed by this artifact")
 def _check_scale_definition(ctx: _Context):
-    return _entry("Eq.36", LITERAL, 0.0, None, "spin", "spin_functions",
-                  "the combination sqrt(alpha/beta) = m*omega is adopted as the "
-                  "definition of the mass-frequency scale; the separate symbols are "
-                  "not exposed by this artifact")
+    return 0.0
 
 
 def _spin_diag(ctx: _Context):
+    """Two-mode operators, hbar, modes' dimension, and the number and S0' diagonals."""
     ops = ctx.spin_ops()
-    hb = ctx.par.hbar
-    dim = ops.number.dim_per_mode
-    n_diag = np.real(np.diag(ops.number.values))
-    s0_diag = np.real(np.diag(ops.s0.values))
-    return ops, hb, dim, n_diag, s0_diag
+    diagonal = lambda op: np.real(np.diag(op.values))
+    return ops, ctx.par.hbar, ops.number.dim_per_mode, diagonal(ops.number), diagonal(ops.s0)
 
 
+@_check("Eq.37", 1e-12, "spin.two_mode_operators",
+        "the total-intensity operator is diagonal with integer hbar multiples")
 def _check_s0_eigenproblem(ctx: _Context):
     ops, hb, _, _, s0_diag = _spin_diag(ctx)
     off = ops.s0.values - np.diag(np.diag(ops.s0.values))
     lam = s0_diag / hb
-    residual = max(float(np.abs(off).max()), float(np.abs(lam - np.round(lam)).max()))
-    return _entry("Eq.37", LITERAL, residual, 1e-12, "spin", "two_mode_operators",
-                  "the total-intensity operator is diagonal with integer hbar multiples")
+    return max(float(np.abs(off).max()), float(np.abs(lam - np.round(lam)).max()))
 
 
 def _squared_spin(ops, hb):
@@ -739,25 +782,27 @@ def _squared_spin(ops, hb):
     return s_prime_sq - hb ** 2 / 4.0 * np.eye(ops.s0.values.shape[0])
 
 
+@_check("Eq.38", 1e-12, "spin.two_mode_operators",
+        "squared spin carries ((lambda-1)/2)((lambda+1)/2) on each eigenvector")
 def _check_lambda_eigenvalue(ctx: _Context):
     ops, hb, _, _, s0_diag = _spin_diag(ctx)
     s_sq = _squared_spin(ops, hb)
     lam = s0_diag / hb
     expected = hb ** 2 * ((lam - 1.0) / 2.0) * ((lam + 1.0) / 2.0)
-    residual = float(np.abs(np.real(np.diag(s_sq)) - expected).max())
-    return _entry("Eq.38", LITERAL, residual, 1e-12, "spin", "two_mode_operators",
-                  "squared spin carries ((lambda-1)/2)((lambda+1)/2) on each eigenvector")
+    return float(np.abs(np.real(np.diag(s_sq)) - expected).max())
 
 
+@_check("Eq.38a", 1e-12, "spin.two_mode_operators",
+        "quarter-square shift identity between the primed and unprimed squares")
 def _check_shift_identity(ctx: _Context):
     ops, hb, _, n_diag, _ = _spin_diag(ctx)
     s_sq = _squared_spin(ops, hb)
     expected = hb ** 2 * (n_diag / 2.0) * (n_diag / 2.0 + 1.0)
-    residual = float(np.abs(np.real(np.diag(s_sq)) - expected).max())
-    return _entry("Eq.38a", LITERAL, residual, 1e-12, "spin", "two_mode_operators",
-                  "quarter-square shift identity between the primed and unprimed squares")
+    return float(np.abs(np.real(np.diag(s_sq)) - expected).max())
 
 
+@_check("Eq.39", 1e-12, "spin.two_mode_operators",
+        "squared-spin law hbar^2 (N/2)(N/2+1) across complete sectors")
 def _check_number_eigenvalue_law(ctx: _Context):
     ops, hb, _, n_diag, _ = _spin_diag(ctx)
     s_sq = _squared_spin(ops, hb)
@@ -766,10 +811,10 @@ def _check_number_eigenvalue_law(ctx: _Context):
         members = np.where(np.abs(n_diag - n) < 1e-9)[0]
         expected = hb ** 2 * (n / 2.0) * (n / 2.0 + 1.0)
         residual = max(residual, float(np.abs(np.real(np.diag(s_sq))[members] - expected).max()))
-    return _entry("Eq.39", LITERAL, residual, 1e-12, "spin", "spin_spectrum",
-                  "squared-spin law hbar^2 (N/2)(N/2+1) across complete sectors")
+    return residual
 
 
+@_check("Eq.40", 1e-12, "spin.lambda_relation", "N = lambda - 1 relabelling is exact")
 def _check_lambda_shift(ctx: _Context):
     par = ctx.par
     worst = 0.0
@@ -778,38 +823,32 @@ def _check_lambda_shift(ctx: _Context):
         n = lam - 1
         expected = par.hbar ** 2 * (n / 2.0) * (n / 2.0 + 1.0)
         worst = max(worst, abs(value - expected))
-    return _entry("Eq.40", LITERAL, worst, 1e-12, "spin", "lambda_relation",
-                  "N = lambda - 1 relabelling is exact")
+    return worst
 
 
 def _mode4_fields(par: PhysParams):
-    def make(which):
-        def field(x, y, px, py):
-            q1c, p1c, q2c, p2c = spin.two_mode_transform(spin.Phase4Point(x, y, px, py), par)
-            return {"q1": q1c, "p1": p1c, "q2": q2c, "p2": p2c}[which]
-
-        return field
-
-    return make("q1"), make("p1"), make("q2"), make("p2")
+    """The four mode coordinates (q1, p1, q2, p2) as functions of (x, y, px, py)."""
+    modes = lambda *xy: spin.two_mode_transform(spin.Phase4Point(*xy), par)
+    return tuple((lambda *xy, k=k: modes(*xy)[k]) for k in range(4))
 
 
+@_check("Eq.41", 1e-6, "spin.two_mode_transform",
+        "first-axis mode pair has bracket i/hbar (finite differences)")
 def _check_mode1_transform(ctx: _Context):
     par = ctx.par
     q1, p1, _, _ = _mode4_fields(par)
     pt = spin.Phase4Point(0.4, -0.3, 0.8, 0.5)
-    residual = abs(spin.poisson_bracket_4d(q1, p1, pt) - 1j / par.hbar)
-    return _entry("Eq.41", LITERAL, residual, 1e-6, "spin", "two_mode_transform",
-                  "first-axis mode pair has bracket i/hbar (finite differences)")
+    return abs(spin.poisson_bracket_4d(q1, p1, pt) - 1j / par.hbar)
 
 
+@_check("Eq.42", 1e-6, "spin.two_mode_transform",
+        "second-axis pair has bracket i/hbar and the axes decouple")
 def _check_mode2_transform(ctx: _Context):
     par = ctx.par
     q1, _, q2, p2 = _mode4_fields(par)
     pt = spin.Phase4Point(-0.6, 0.2, 0.1, 0.9)
     residual = abs(spin.poisson_bracket_4d(q2, p2, pt) - 1j / par.hbar)
-    residual = max(residual, abs(spin.poisson_bracket_4d(q1, q2, pt)))
-    return _entry("Eq.42", LITERAL, residual, 1e-6, "spin", "two_mode_transform",
-                  "second-axis pair has bracket i/hbar and the axes decouple")
+    return max(residual, abs(spin.poisson_bracket_4d(q1, q2, pt)))
 
 
 def _transformed_samples(ctx: _Context, count=100):
@@ -822,19 +861,20 @@ def _transformed_samples(ctx: _Context, count=100):
         yield original, transformed
 
 
+@_check("Eq.43", 1e-10, "spin.transformed_spin_functions",
+        "total intensity is preserved by the per-axis mode map")
 def _check_s0_transform(ctx: _Context):
-    worst = max(abs(t.s0 - o.s0) for o, t in _transformed_samples(ctx))
-    return _entry("Eq.43", LITERAL, worst, 1e-10, "spin", "transformed_spin_functions",
-                  "total intensity is preserved by the per-axis mode map")
+    return max(abs(t.s0 - o.s0) for o, t in _transformed_samples(ctx))
 
 
+@_check("Eq.44", 1e-10, "spin.transformed_spin_functions",
+        "the mode-difference clause holds; the written same-mode-squares "
+        "clause is measured by Eq.44-literal")
 def _check_s2_transform(ctx: _Context):
-    worst = max(abs(t.s2 - o.s2) for o, t in _transformed_samples(ctx))
-    return _entry("Eq.44", LITERAL, worst, 1e-10, "spin", "transformed_spin_functions",
-                  "the mode-difference clause holds; the written same-mode-squares "
-                  "clause is measured by Eq.44-literal")
+    return max(abs(t.s2 - o.s2) for o, t in _transformed_samples(ctx))
 
 
+@_check("Eq.44-literal", None, "spin.transformed_spin_functions")
 def _check_s1_transform_literal(ctx: _Context):
     worst_written = 0.0
     worst_cross = 0.0
@@ -842,40 +882,44 @@ def _check_s1_transform_literal(ctx: _Context):
         worst_written = max(worst_written, abs(t.s1_written - o.s1))
         worst_cross = max(worst_cross, abs(t.s1_cross - o.s1))
     written_defect, cross_defect = spin.su2_closure_defects(6, ctx.par)
-    return _entry("Eq.44-literal", LITERAL, worst_written, None, "spin",
-                  "transformed_spin_functions",
-                  f"written same-mode-squares form is pure imaginary for real points and "
-                  f"misses the first spin function; the cross-mode form "
-                  f"(hbar/2)(q1 p2 + q2 p1) matches it to {worst_cross:.3e}. Quantized "
-                  f"closure defect on the valid subspace: written set {written_defect:.3e}, "
-                  f"cross set {cross_defect:.3e}")
+    return worst_written, (
+        f"written same-mode-squares form is pure imaginary for real points and "
+        f"misses the first spin function; the cross-mode form "
+        f"(hbar/2)(q1 p2 + q2 p1) matches it to {worst_cross:.3e}. Quantized "
+        f"closure defect on the valid subspace: written set {written_defect:.3e}, "
+        f"cross set {cross_defect:.3e}"
+    )
 
 
+@_check("Eq.45", 1e-10, "spin.transformed_spin_functions",
+        "the cross-mode third component survives the transform")
 def _check_s3_transform(ctx: _Context):
-    worst = max(abs(t.s3 - o.s3) for o, t in _transformed_samples(ctx))
-    return _entry("Eq.45", LITERAL, worst, 1e-10, "spin", "transformed_spin_functions",
-                  "the cross-mode third component survives the transform")
+    return max(abs(t.s3 - o.s3) for o, t in _transformed_samples(ctx))
 
 
+@_check("Eq.46", 1e-10, "spin.transformed_spin_functions",
+        "the chosen commuting pair (S2', S0') matches the original functions")
 def _check_diagonal_pair(ctx: _Context):
     worst = 0.0
     for o, t in _transformed_samples(ctx):
         worst = max(worst, abs(t.s2 - o.s2), abs(t.s0 - o.s0))
-    return _entry("Eq.46", LITERAL, worst, 1e-10, "spin", "transformed_spin_functions",
-                  "the chosen commuting pair (S2', S0') matches the original functions")
+    return worst
 
 
+@_check("Eq.47", 1e-12, "spin.two_mode_operators",
+        "mode-difference and total-intensity operators act as printed, "
+        "including the vacuum term")
 def _check_quantized_pair(ctx: _Context):
     ops, hb, dim, _, _ = _spin_diag(ctx)
     one_zero = spin.spin_eigenvector(1, 0, dim).values
     vacuum = spin.spin_eigenvector(0, 0, dim).values
     residual = float(np.abs(ops.s2.values @ one_zero - 0.5 * hb * one_zero).max())
-    residual = max(residual, float(np.abs(ops.s0.values @ vacuum - hb * vacuum).max()))
-    return _entry("Eq.47", LITERAL, residual, 1e-12, "spin", "two_mode_operators",
-                  "mode-difference and total-intensity operators act as printed, "
-                  "including the vacuum term")
+    return max(residual, float(np.abs(ops.s0.values @ vacuum - hb * vacuum).max()))
 
 
+@_check("Eq.48", 1e-12, "spin.two_mode_operators",
+        "unit commutators per mode on the valid subspace, cross-mode terms vanish",
+        convention=REPAIRED)
 def _check_two_mode_commutators(ctx: _Context):
     ops, _, dim, _, _ = _spin_diag(ctx)
     a1, c1, a2, c2 = spin._mode_matrices(dim)
@@ -886,36 +930,36 @@ def _check_two_mode_commutators(ctx: _Context):
     block = np.ix_(valid, valid)
     residual = float(np.abs((a1 @ c1 - c1 @ a1 - eye)[block]).max())
     residual = max(residual, float(np.abs((a2 @ c2 - c2 @ a2 - eye)[block]).max()))
-    residual = max(residual, float(np.abs(a1 @ c2 - c2 @ a1).max()))
-    return _entry("Eq.48", REPAIRED, residual, 1e-12, "spin", "two_mode_operators",
-                  "unit commutators per mode on the valid subspace, cross-mode terms vanish")
+    return max(residual, float(np.abs(a1 @ c2 - c2 @ a1).max()))
 
 
+@_check("Eq.48-literal", None, "fock.annihilate_written_convention",
+        "the written -i*hbar derivative convention gives per-mode commutator "
+        "-i*hbar instead of 1")
 def _check_two_mode_commutators_literal(ctx: _Context):
-    par = ctx.par
-    residual = abs(-1j * par.hbar - 1.0)
-    return _entry("Eq.48-literal", LITERAL, residual, None, "fock",
-                  "annihilate_written_convention",
-                  "the written -i*hbar derivative convention gives per-mode commutator "
-                  "-i*hbar instead of 1")
+    return abs(_written_commutator(ctx.par) - 1.0)
 
 
+@_check("Eq.49", 1e-12, "spin.two_mode_operators",
+        "total number operator kept dimensionless (the written form carries a "
+        "stray hbar); integer spectrum",
+        convention=REPAIRED)
 def _check_number_operator(ctx: _Context):
     ops, _, _, n_diag, _ = _spin_diag(ctx)
     off = ops.number.values - np.diag(np.diag(ops.number.values))
-    residual = max(float(np.abs(off).max()), float(np.abs(n_diag - np.round(n_diag)).max()))
-    return _entry("Eq.49", REPAIRED, residual, 1e-12, "spin", "two_mode_operators",
-                  "total number operator kept dimensionless (the written form carries a "
-                  "stray hbar); integer spectrum")
+    return max(float(np.abs(off).max()), float(np.abs(n_diag - np.round(n_diag)).max()))
 
 
+@_check("Eq.50", 1e-12, "spin.two_mode_operators", "N = lambda - 1 at the operator level")
 def _check_lambda_operator_shift(ctx: _Context):
     ops, hb, _, n_diag, s0_diag = _spin_diag(ctx)
-    residual = float(np.abs((s0_diag / hb - 1.0) - n_diag).max())
-    return _entry("Eq.50", LITERAL, residual, 1e-12, "spin", "two_mode_operators",
-                  "N = lambda - 1 at the operator level")
+    return float(np.abs((s0_diag / hb - 1.0) - n_diag).max())
 
 
+@_check("Eq.51", 1e-9, "spin.spin_spectrum",
+        "joint (number, S2') spectra match the sector enumeration at "
+        "truncation 8, half-integral rows included",
+        convention=REPAIRED)
 def _check_joint_spectrum(ctx: _Context):
     par = ctx.par
     dim = 8
@@ -930,11 +974,11 @@ def _check_joint_spectrum(ctx: _Context):
         residual = max(residual, max(abs(g - e) for g, e in zip(got, expected)))
         casimir = par.hbar ** 2 * (sector / 2.0) * (sector / 2.0 + 1.0)
         residual = max(residual, max(abs(r.casimir - casimir) for r in rows if r.sector == sector))
-    return _entry("Eq.51", REPAIRED, residual, 1e-9, "spin", "spin_spectrum",
-                  "joint (number, S2') spectra match the sector enumeration at "
-                  "truncation 8, half-integral rows included")
+    return residual
 
 
+@_check("Eq.52", 1e-9, "spin.spin_eigenvector",
+        "repeated creation builds the joint eigenvectors with sqrt(n1! n2!) weight")
 def _check_tensor_eigenvectors(ctx: _Context):
     ops, hb, dim, _, _ = _spin_diag(ctx)
     state = spin.spin_eigenvector(2, 1, dim).values
@@ -942,78 +986,24 @@ def _check_tensor_eigenvectors(ctx: _Context):
     residual = abs(state[index] - math.sqrt(2.0))
     residual = max(residual, float(np.abs(np.delete(state, index)).max()))
     residual = max(residual, float(np.abs(ops.number.values @ state - 3.0 * state).max()))
-    residual = max(residual, float(np.abs(ops.s2.values @ state - 0.5 * hb * state).max()))
-    return _entry("Eq.52", LITERAL, residual, 1e-9, "spin", "spin_eigenvector",
-                  "repeated creation builds the joint eigenvectors with sqrt(n1! n2!) weight")
-
-
-_BUILDERS = [
-    _check_hamiltonian,
-    _check_mass_conservation,
-    _check_hamilton_equations,
-    _check_stationary_density,
-    _check_transform_pair,
-    _check_slice_equation,
-    _check_product_form,
-    _check_polar_split,
-    _check_first_order_structure,
-    _check_continuity,
-    _check_quantum_hj,
-    _check_equivalence,
-    _check_mode_bracket,
-    _check_transformed_hamiltonian,
-    _check_transformed_liouville,
-    _check_mode_rate,
-    _check_transformed_transform,
-    _check_transformed_slice_equation,
-    _check_transformed_product_form,
-    _check_transformed_polar_form,
-    _check_transformed_continuity,
-    _check_transformed_phase,
-    _check_transformed_schrodinger,
-    _check_transformed_schrodinger_literal,
-    _check_operator_equation,
-    _check_ladder_identification,
-    _check_ladder_identification_literal,
-    _check_solution_form,
-    _check_spectrum,
-    _check_number_states,
-    _check_angle_definition,
-    _check_tangent,
-    _check_classical_solution,
-    _check_shell_value,
-    _check_circle_waves,
-    _check_circle_ladder,
-    _check_spin_definitions,
-    _check_casimir,
-    _check_scale_definition,
-    _check_s0_eigenproblem,
-    _check_lambda_eigenvalue,
-    _check_shift_identity,
-    _check_number_eigenvalue_law,
-    _check_lambda_shift,
-    _check_mode1_transform,
-    _check_mode2_transform,
-    _check_s0_transform,
-    _check_s2_transform,
-    _check_s1_transform_literal,
-    _check_s3_transform,
-    _check_diagonal_pair,
-    _check_quantized_pair,
-    _check_two_mode_commutators,
-    _check_two_mode_commutators_literal,
-    _check_number_operator,
-    _check_lambda_operator_shift,
-    _check_joint_spectrum,
-    _check_tensor_eigenvectors,
-]
+    return max(residual, float(np.abs(ops.s2.values @ state - 0.5 * hb * state).max()))
 
 
 def run_suite(config: SuiteConfig | None = None) -> list[ReportEntry]:
-    """Run every check and return entries sorted by equation identifier."""
+    """Run every check in definition order, which is also the report order."""
     ctx = _Context(config or SuiteConfig())
-    entries = [builder(ctx) for builder in _BUILDERS]
-    entries.sort(key=_sort_key)
+    entries = []
+    for check in _CHECKS:
+        result = check.run(ctx)
+        residual, detail = result if isinstance(result, tuple) else (result, check.detail)
+        residual = float(residual)
+        if check.threshold is None:
+            status = REPORTED
+        else:
+            status = PASS if residual < check.threshold else FAIL
+        entries.append(ReportEntry(check.equation_id, check.convention, residual,
+                                   check.threshold, status, check.module, check.operation,
+                                   detail))
     return entries
 
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import _spectral
 from .errors import BoundaryLeak, GridMismatch, GridTooNarrow, NormDrift
-from .phasespace import NATURAL, PhaseGrid, PhysParams, _is_power_of_two, liouville_propagate
+from .phasespace import NATURAL, PhaseDensity, PhaseGrid, PhysParams, liouville_propagate
+from .phasespace import _is_power_of_two
 
 # Strict state invariant, checked by WaveFunction.validate().
 BOUNDARY_RATIO_LIMIT = 1e-10
@@ -196,13 +197,19 @@ def energy_expectation(phi: WaveFunction, par: PhysParams = NATURAL) -> float:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Distances between the quantum-evolved and classically-evolved densities."""
+    """Distances between the quantum-evolved and classically-evolved densities.
+
+    It keeps the fields it computed, for callers that export them.
+    """
 
     l2_distance: float
     max_distance: float
     time: float
     n_steps: int
     grid_points: tuple
+    initial: PhaseDensity
+    evolved: WaveFunction
+    transported: PhaseDensity
 
 
 def default_steps(grid_points: int, t: float, omega: float) -> int:
@@ -245,4 +252,7 @@ def equivalence_report(
         time=t,
         n_steps=n_steps,
         grid_points=(grid.n_q, grid.n_p),
+        initial=f0,
+        evolved=phi_t,
+        transported=classical,
     )

@@ -21,6 +21,45 @@ def test_bad_config_content_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+# Each case exits 2 at parse time, before any field is allocated.
+MALFORMED = [
+    ("verify", '{"params": [1]}', [], "params must be a JSON object"),
+    ("verify", '{"grid": 5}', [], "grid must be a JSON object"),
+    ("verify", '{"grid": {"extent": NaN}}', [], "extent must be a finite number"),
+    ("verify", '{"params": {"omega": Infinity}}', [], "omega must be a finite number"),
+    ("verify", '{"params": {"m": true}}', [], "m must be a finite number"),
+    ("verify", '{"params": {"hbar": "1"}}', [], "hbar must be a finite number"),
+    ("verify", '{"params": {"m": -1}}', [], "m must be positive"),
+    ("verify", '{"seed": -1}', [], "seed must be nonnegative"),
+    ("verify", '{"seed": 1.5}', [], "seed must be an integer"),
+    ("verify", '{"truncation": true}', [], "truncation must be a finite number"),
+    ("verify", '{"spin_n_max": 7}', [], "unknown configuration keys"),
+    ("verify", '{"grid": {"points": 512}}', [], "unknown grid keys"),
+    ("verify", '{"grid": {"n": 4096}}', [], "grid point count 4096"),
+    ("verify", '{"truncation": 2049}', [], "truncation 2049"),
+    ("verify", '{"truncation": 100000}', [], "truncation 100000"),
+    ("evolve", '{"grid": {"n": 4096}}', ["--state", "eigenstate:0", "--time", "1"], "MiB limit"),
+    ("spectrum", None, ["--cutoff", "2049"], "--cutoff 2049"),
+    ("spectrum", None, ["--cutoff", "100000"], "MiB limit"),
+    ("spin", None, ["--n-max", "45"], "--n-max 45"),
+]
+
+
+@pytest.mark.parametrize("command, config, extra, message", MALFORMED)
+def test_malformed_or_oversize_input_exits_2(tmp_path, capsys, command, config, extra, message):
+    out = tmp_path / "out"
+    argv = [command, *extra, "--out", str(out)]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

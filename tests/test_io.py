@@ -8,7 +8,6 @@ from phaseq import fock, io
 from phaseq import phasespace as ps
 from phaseq import schrodinger as sc
 from phaseq import spin
-from phaseq import wigner as wg
 
 PAR = ps.NATURAL
 
@@ -22,16 +21,6 @@ def test_phase_density_round_trip(tmp_path):
     assert np.abs(loaded.values - density.values).max() < 1e-15
     meta = json.loads((tmp_path / "field.json").read_text())
     assert set(meta) == {"q_min", "q_max", "p_min", "p_max", "n_q", "n_p", "time"}
-
-
-def test_density_slice_round_trip(tmp_path):
-    grid = ps.default_grid(4.0, 32)
-    rho = wg.wigner_forward(ps.gaussian_density(grid, PAR), PAR)
-    io.save_density_slice(rho, tmp_path / "slice")
-    loaded = io.load_density_slice(tmp_path / "slice", hbar=PAR.hbar)
-    assert np.abs(loaded.values - rho.values).max() < 1e-15
-    assert (tmp_path / "slice_real.csv").exists()
-    assert (tmp_path / "slice_imag.csv").exists()
 
 
 def test_wavefunction_round_trip(tmp_path):
@@ -63,21 +52,3 @@ def test_spin_csv_contract(tmp_path):
     assert len(lines) == 1 + 3  # N=0 once, N=1 twice
     first = lines[1].split(",")
     assert first[0] == "0" and first[4] == "1"
-
-
-def test_residual_field_sidecar(tmp_path):
-    positions = np.linspace(0.0, 1.0, 5)
-    io.save_residual_field(tmp_path / "res", positions, positions ** 2, "Eq.10", "repaired")
-    meta = json.loads((tmp_path / "res.json").read_text())
-    assert meta == {"equation": "Eq.10", "convention": "repaired"}
-    header = (tmp_path / "res.csv").read_text().splitlines()[0]
-    assert header == "q,residual"
-
-
-def test_bargmann_poly_round_trip(tmp_path):
-    poly = fock.BargmannPoly([0.5, 1.0 - 0.25j, 0.0, 2.0j])
-    path = io.save_bargmann_poly(tmp_path / "poly.json", poly)
-    payload = json.loads(path.read_text())
-    assert payload["coeffs"][1] == [1.0, -0.25]
-    loaded = io.load_bargmann_poly(path)
-    assert np.array_equal(loaded.coeffs, poly.coeffs)
