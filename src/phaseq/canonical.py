@@ -43,15 +43,6 @@ def to_normal_modes(pt: PhasePoint, par: PhysParams = NATURAL) -> NormalModePoin
     return NormalModePoint(complex(a, b), complex(a, -b))
 
 
-def from_normal_modes(nm: NormalModePoint, par: PhysParams = NATURAL) -> PhasePoint:
-    """Inverse of :func:`to_normal_modes` for physical (conjugate-pair) points."""
-    a = 0.5 * (nm.q1 + nm.p1)
-    b = (nm.q1 - nm.p1) / 2j
-    p = a.real * math.sqrt(2.0 * par.hbar * par.m * par.omega)
-    q = b.real / math.sqrt(par.m * par.omega / (2.0 * par.hbar))
-    return PhasePoint(q, p)
-
-
 def transformed_hamiltonian(nm: NormalModePoint, par: PhysParams = NATURAL) -> complex:
     """hbar * omega * q1 * p1; exactly real and equal to H for physical points."""
     return par.hbar * par.omega * nm.q1 * nm.p1

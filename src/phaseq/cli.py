@@ -1,7 +1,8 @@
 """Command-line harness: verify | spectrum | spin | evolve.
 
 Exit codes: 0 success (all thresholded checks pass), 1 verification failure,
-2 usage or configuration error.
+2 usage or configuration error, including an output path that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -10,7 +11,9 @@ import argparse
 import datetime
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import io, report
@@ -44,12 +47,52 @@ def _load_config(path: str | None) -> SuiteConfig:
     return SuiteConfig.from_mapping(data)
 
 
+@contextmanager
+def _writing(path: Path):
+    """Report a failed write under ``path`` as a ConfigError naming the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
+
+
+def _fork_writer(path: Path, write) -> int:
+    """Run ``write()`` in a forked child and return the child's pid.
+
+    The child never returns into the caller.  It exits 0 after ``write``,
+    2 after printing the ``error:`` line of a failed write under ``path``,
+    and 1 after printing the traceback of anything else.  Only the forking
+    thread lives on in the child, so ``write`` must not use FFT or BLAS.
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        try:
+            with _writing(path):
+                write()
+            code = 0
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        except BaseException as exc:  # cannot re-raise: report it, then exit
+            sys.excepthook(type(exc), exc, exc.__traceback__)
+        sys.stdout.flush()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
 def cmd_verify(args) -> int:
     config = _load_config(args.config)
     entries = report.run_suite(config)
     payload = report.report_payload(entries, config, timestamp=not args.no_timestamp)
     out = Path(args.out or "verify_report.json")
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _writing(out):
+        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     for entry in entries:
         gate = "-" if entry.threshold is None else f"{entry.threshold:.0e}"
         print(
@@ -69,7 +112,8 @@ def cmd_spectrum(args) -> int:
     bound_dense("--cutoff", args.cutoff, args.cutoff ** 2)
     spectrum = ho_spectrum(args.cutoff, config.params)
     out = Path(args.out or "spectrum.csv")
-    io.save_spectrum_csv(out, spectrum)
+    with _writing(out):
+        io.save_spectrum_csv(out, spectrum)
     print(f"spectrum written to {out}")
     return 0
 
@@ -82,7 +126,8 @@ def cmd_spin(args) -> int:
     dim = args.n_max + 1 if args.n_max >= 1 else 2
     rows = [row for row in spin_spectrum(dim, config.params) if row.sector <= args.n_max]
     out = Path(args.out or "spin_spectrum.csv")
-    io.save_spin_csv(out, rows, config.params.hbar)
+    with _writing(out):
+        io.save_spin_csv(out, rows, config.params.hbar)
     print(f"spin spectrum written to {out}")
     return 0
 
@@ -118,13 +163,6 @@ def cmd_evolve(args) -> int:
     state = _parse_state(args.state, line, config)
     comparison = equivalence_report(state, args.time, config.params, grid, n_steps)
 
-    out_dir = Path(args.out or "evolve_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    io.save_wavefunction(state, out_dir / "wavefunction_t0")
-    io.save_phase_density(comparison.initial, out_dir / "density_t0")
-    io.save_wavefunction(comparison.evolved, out_dir / "wavefunction_t1")
-    io.save_phase_density(comparison.transported, out_dir / "density_t1")
-
     payload = {
         "state": args.state,
         "time": args.time,
@@ -135,7 +173,29 @@ def cmd_evolve(args) -> int:
     }
     if not args.no_timestamp:
         payload["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    (out_dir / "equivalence.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+    out_dir = Path(args.out or "evolve_out")
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    # The two densities are the large files: a child writes the first while
+    # this process writes everything else.
+    density_t0 = out_dir / "density_t0"
+    pid = _fork_writer(density_t0, lambda: io.save_phase_density(comparison.initial, density_t0))
+    try:
+        with _writing(out_dir):
+            io.save_wavefunction(state, out_dir / "wavefunction_t0")
+            io.save_wavefunction(comparison.evolved, out_dir / "wavefunction_t1")
+            io.save_phase_density(comparison.transported, out_dir / "density_t1")
+            (out_dir / "equivalence.json").write_text(
+                json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            )
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        print(f"error: the writer of {density_t0} was killed by signal {-code}", file=sys.stderr)
+    if code != 0:
+        return 2 if code == 2 else 1
     print(f"fields and equivalence report written to {out_dir}")
     print(f"equivalence L2 distance {comparison.l2_distance:.3e}")
     return 0

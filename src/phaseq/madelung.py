@@ -173,21 +173,6 @@ def qhj_residual(pair: MadelungPair, dSdt, par: PhysParams = NATURAL) -> Residua
     return ResidualField(grid, values, pair.valid_mask())
 
 
-def schrodinger_form_rate(phi: WaveFunction, par: PhysParams = NATURAL) -> np.ndarray:
-    """(2/hbar) Im(conj(phi) * H phi): the density rate in operator form.
-
-    Independent route for cross-checking the continuity residual; the flux
-    divergence above equals the negative of this field for any state.
-    """
-    grid = phi.grid
-    second = _spectral.derivative(phi.values, grid.length, order=2)
-    h_phi = (
-        -(par.hbar ** 2) / (2.0 * par.m) * second
-        + 0.5 * par.m * par.omega ** 2 * grid.q ** 2 * phi.values
-    )
-    return 2.0 / par.hbar * np.imag(np.conj(phi.values) * h_phi)
-
-
 # ---------------------------------------------------------------------------
 # transformed-coordinate pair on polynomial amplitudes
 # ---------------------------------------------------------------------------

@@ -71,8 +71,7 @@ class DensitySlice:
 def hermiticity_defect(rho: DensitySlice) -> float:
     """Scaled max deviation from rho(q, -dq) = conj(rho(q, dq))."""
     values = rho.values
-    n = values.shape[1]
-    mirrored = np.conj(values[:, (-np.arange(n)) % n])
+    mirrored = np.conj(np.roll(values[:, ::-1], 1, axis=1))  # column j <- column -j mod n
     scale = float(np.abs(values).max()) or 1.0
     return float(np.abs(values - mirrored).max() / scale)
 

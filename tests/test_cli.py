@@ -1,10 +1,24 @@
 """Exit codes, file outputs, and determinism of the command-line harness."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import phaseq
+from phaseq import io
 from phaseq.cli import main
+from phaseq.phasespace import NATURAL, default_grid
+from phaseq.schrodinger import (
+    PositionGrid,
+    coherent_state,
+    default_steps,
+    equivalence_report,
+    hermite_eigenstate,
+)
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -214,3 +228,106 @@ def test_verify_equivalence_grows_on_coarse_grid(tmp_path):
         return next(e["residual"] for e in payload["entries"] if e["equation_id"] == "Eq.12")
 
     assert equivalence_residual(coarse_out) >= 3.0 * equivalence_residual(fine_out)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Record the pid of every child os.fork starts, as seen by the parent."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+def _evolve_argv(tmp_path, state="eigenstate:0", time="1.0"):
+    return ["evolve", "--state", state, "--time", time,
+            "--config", str(_small_config(tmp_path)), "--no-timestamp"]
+
+
+# Each --out cannot be written: (command, --out, what to create first, path
+# the error line names).  A trailing "/" creates a directory, anything else
+# an empty file.  The last case makes the forked density_t0 writer fail.
+BAD_OUT = [
+    (["verify"], "missing_dir/r.json", None, "missing_dir/r.json"),
+    (["spectrum", "--cutoff", "4"], "missing_dir/s.csv", None, "missing_dir/s.csv"),
+    (["spin", "--n-max", "2"], "missing_dir/s.csv", None, "missing_dir/s.csv"),
+    (["evolve"], "taken", "taken", "taken"),
+    (["evolve"], "run", "run/density_t0.csv/", "run/density_t0.csv"),
+]
+
+
+@pytest.mark.parametrize("command, out, existing, named", BAD_OUT)
+def test_unwritable_output_exits_2(tmp_path, capfd, command, out, existing, named):
+    if existing is not None:
+        path = tmp_path / existing
+        if existing.endswith("/"):
+            path.mkdir(parents=True)
+        else:
+            path.write_text("")
+    argv = _evolve_argv(tmp_path) if command == ["evolve"] else command
+    assert main([*argv, "--out", str(tmp_path / out)]) == 2
+    captured = capfd.readouterr()
+    assert f"error: cannot write {tmp_path / named}" in captured.err
+    assert "Traceback" not in captured.err
+    assert "written" not in captured.out
+
+
+def test_evolve_reaps_writer_when_own_write_fails(tmp_path, capfd, forks):
+    out = tmp_path / "run"
+    (out / "wavefunction_t0.csv").mkdir(parents=True)
+    assert main([*_evolve_argv(tmp_path), "--out", str(out)]) == 2
+    _assert_reaped(forks)
+    assert f"cannot write {out / 'wavefunction_t0.csv'}" in capfd.readouterr().err
+    assert (out / "density_t0.json").exists()
+
+
+@pytest.mark.parametrize("state, time, build", [
+    ("coherent:0.7,-1.1", 1.234, lambda line: coherent_state(line, NATURAL, 0.7, -1.1)),
+    ("eigenstate:3", 2.1, lambda line: hermite_eigenstate(3, line, NATURAL)),
+])
+def test_evolve_files_match_sequential_writes(tmp_path, forks, state, time, build):
+    out = tmp_path / "run"
+    assert main([*_evolve_argv(tmp_path, state, repr(time)), "--out", str(out)]) == 0
+    _assert_reaped(forks)
+
+    grid = default_grid(8.0, 64)
+    line = PositionGrid(grid.q_min, grid.q_max, grid.n_q)
+    phi = build(line)
+    comparison = equivalence_report(phi, time, NATURAL, grid,
+                                    default_steps(grid.n_q, time, NATURAL.omega))
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    io.save_wavefunction(phi, expected / "wavefunction_t0")
+    io.save_phase_density(comparison.initial, expected / "density_t0")
+    io.save_wavefunction(comparison.evolved, expected / "wavefunction_t1")
+    io.save_phase_density(comparison.transported, expected / "density_t1")
+
+    names = sorted(path.name for path in expected.iterdir())
+    assert sorted(path.name for path in out.iterdir()) == sorted([*names, "equivalence.json"])
+    for name in names:
+        assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+    payload = json.loads((out / "equivalence.json").read_text())
+    assert payload["l2_distance"] == comparison.l2_distance
+    assert payload["max_distance"] == comparison.max_distance
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    src = str(Path(phaseq.__file__).resolve().parents[1])
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, phaseq.cli; print('multiprocessing' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert probe.stdout.strip() == "False"
