@@ -18,15 +18,17 @@ def derivative(values: np.ndarray, length: float, order: int = 1) -> np.ndarray:
 def shifted(values: np.ndarray, length: float, shifts) -> np.ndarray:
     """Band-limited translates values(x + s), one row per shift.
 
-    The signal is treated as periodic with the given window length; callers
-    mask wrapped regions themselves.
+    Each row is a phase ramp on the spectrum of the window-periodic signal.
+    Cells whose source x + s lies outside the window are zeroed, as in
+    :func:`shear`, so no ghost copy wraps round from the opposite edge.
     """
     n = values.shape[-1]
     k = wavenumbers(n, length)
-    spectrum = np.fft.fft(values)
-    shifts = np.atleast_1d(np.asarray(shifts, dtype=np.float64))
-    phases = np.exp(1j * np.outer(shifts, k))
-    return np.fft.ifft(spectrum[None, :] * phases, axis=1)
+    shifts = np.atleast_1d(np.asarray(shifts, dtype=np.float64))[:, None]
+    out = np.fft.ifft(np.fft.fft(values)[None, :] * np.exp(1j * (shifts * k)), axis=1)
+    source = (length / n) * np.arange(n) + shifts
+    out[(source < 0.0) | (source >= length)] = 0.0
+    return out
 
 
 def shear(n: int, length: float, shifts, axis: int):

@@ -56,6 +56,12 @@ def _writing(path: Path):
         raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
 
 
+def _require_parent_dir(path: Path) -> None:
+    """Fail before the work when the directory that would hold ``path`` is missing."""
+    if not path.parent.is_dir():
+        raise ConfigError(f"cannot write {path}: {path.parent} is not a directory")
+
+
 def _fork_writer(path: Path, write) -> int:
     """Run ``write()`` in a forked child and return the child's pid.
 
@@ -88,9 +94,10 @@ def _fork_writer(path: Path, write) -> int:
 
 def cmd_verify(args) -> int:
     config = _load_config(args.config)
+    out = Path(args.out or "verify_report.json")
+    _require_parent_dir(out)
     entries = report.run_suite(config)
     payload = report.report_payload(entries, config, timestamp=not args.no_timestamp)
-    out = Path(args.out or "verify_report.json")
     with _writing(out):
         out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     for entry in entries:
@@ -110,8 +117,9 @@ def cmd_spectrum(args) -> int:
     if args.cutoff < 2:
         raise ConfigError("--cutoff must be at least 2")
     bound_dense("--cutoff", args.cutoff, args.cutoff ** 2)
-    spectrum = ho_spectrum(args.cutoff, config.params)
     out = Path(args.out or "spectrum.csv")
+    _require_parent_dir(out)
+    spectrum = ho_spectrum(args.cutoff, config.params)
     with _writing(out):
         io.save_spectrum_csv(out, spectrum)
     print(f"spectrum written to {out}")
@@ -123,9 +131,10 @@ def cmd_spin(args) -> int:
     if args.n_max < 0:
         raise ConfigError("--n-max must be nonnegative")
     bound_dense("--n-max", args.n_max, (args.n_max + 1) ** 4)
+    out = Path(args.out or "spin_spectrum.csv")
+    _require_parent_dir(out)
     dim = args.n_max + 1 if args.n_max >= 1 else 2
     rows = [row for row in spin_spectrum(dim, config.params) if row.sector <= args.n_max]
-    out = Path(args.out or "spin_spectrum.csv")
     with _writing(out):
         io.save_spin_csv(out, rows, config.params.hbar)
     print(f"spin spectrum written to {out}")
@@ -161,6 +170,9 @@ def cmd_evolve(args) -> int:
         )
     line = PositionGrid(grid.q_min, grid.q_max, grid.n_q)
     state = _parse_state(args.state, line, config)
+    out_dir = Path(args.out or "evolve_out")
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ConfigError(f"cannot write {out_dir}: it exists and is not a directory")
     comparison = equivalence_report(state, args.time, config.params, grid, n_steps)
 
     payload = {
@@ -174,7 +186,6 @@ def cmd_evolve(args) -> int:
     if not args.no_timestamp:
         payload["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
-    out_dir = Path(args.out or "evolve_out")
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
     # The two densities are the large files: a child writes the first while

@@ -83,20 +83,19 @@ def load_wavefunction(stem) -> WaveFunction:
 
 def save_spectrum_csv(path, spectrum: SpectrumResult) -> Path:
     path = Path(path)
-    lines = ["index,energy,trusted"]
-    for i, (energy, flag) in enumerate(zip(spectrum.energies, spectrum.trusted)):
-        lines.append(f"{i},{energy:.17g},{int(flag)}")
-    path.write_text("\n".join(lines) + "\n")
+    index = np.arange(len(spectrum.energies))
+    table = np.column_stack([index, spectrum.energies, spectrum.trusted])
+    np.savetxt(path, table, delimiter=",", fmt=["%d", _FLOAT, "%d"],
+               header="index,energy,trusted", comments="")
     return path
 
 
 def save_spin_csv(path, rows: list[SpinSpectrumRow], hbar: float = 1.0) -> Path:
     path = Path(path)
-    lines = ["N,two_s,m_over_hbar,s_squared_over_hbar2,complete_flag"]
-    for row in rows:
-        lines.append(
-            f"{row.sector},{row.sector},{row.projection / hbar:.17g},"
-            f"{row.casimir / hbar ** 2:.17g},{int(row.complete)}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+    table = np.array(
+        [[r.sector, r.sector, r.projection / hbar, r.casimir / hbar ** 2, r.complete] for r in rows],
+        dtype=np.float64,
+    ).reshape(-1, 5)
+    np.savetxt(path, table, delimiter=",", fmt=["%d", "%d", _FLOAT, _FLOAT, "%d"],
+               header="N,two_s,m_over_hbar,s_squared_over_hbar2,complete_flag", comments="")
     return path

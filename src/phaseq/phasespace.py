@@ -11,7 +11,7 @@ and the transport is exact for band-limited densities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -197,20 +197,32 @@ def liouville_propagate(f: PhaseDensity, t: float, par: PhysParams) -> PhaseDens
     return result
 
 
-def poisson_bracket(f, g, pt: PhasePoint, step: float | None = None):
+def poisson_bracket(f, g, pt):
     """Central-difference {f, g} at a point; observables may be complex valued.
 
-    f and g are callables f(q, p) -> scalar.  The stencil step defaults to
-    1e-5 * max(1, |coordinate|) per axis, balancing truncation against
-    roundoff for the O(h^2) stencil.
+    pt is a point dataclass whose fields are the positions, then their
+    momenta in the same order: PhasePoint (q, p) or the planar
+    (x, y, px, py).  f and g are callables taking those coordinates.  The
+    stencil step is 1e-5 * max(1, |coordinate|) per axis, balancing
+    truncation against roundoff for the O(h^2) stencil.
     """
-    hq = step if step is not None else 1e-5 * max(1.0, abs(pt.q))
-    hp = step if step is not None else 1e-5 * max(1.0, abs(pt.p))
-    df_dq = (f(pt.q + hq, pt.p) - f(pt.q - hq, pt.p)) / (2.0 * hq)
-    df_dp = (f(pt.q, pt.p + hp) - f(pt.q, pt.p - hp)) / (2.0 * hp)
-    dg_dq = (g(pt.q + hq, pt.p) - g(pt.q - hq, pt.p)) / (2.0 * hq)
-    dg_dp = (g(pt.q, pt.p + hp) - g(pt.q, pt.p - hp)) / (2.0 * hp)
-    return df_dq * dg_dp - df_dp * dg_dq
+    coords = astuple(pt)
+    half = len(coords) // 2
+
+    def partial(func, axis):
+        h = 1e-5 * max(1.0, abs(coords[axis]))
+        fwd = list(coords)
+        bwd = list(coords)
+        fwd[axis] += h
+        bwd[axis] -= h
+        return (func(*fwd) - func(*bwd)) / (2.0 * h)
+
+    df = [partial(f, axis) for axis in range(len(coords))]
+    dg = [partial(g, axis) for axis in range(len(coords))]
+    value = df[0] * dg[half] - df[half] * dg[0]
+    for i in range(1, half):
+        value = value + df[i] * dg[half + i] - df[half + i] * dg[i]
+    return value
 
 
 def expectation(f: PhaseDensity, obs) -> float:

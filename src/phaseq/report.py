@@ -25,6 +25,7 @@ run at their fixed reference resolutions regardless of the configuration.
 from __future__ import annotations
 
 import datetime
+import functools
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -138,31 +139,22 @@ class ReportEntry:
 
 
 class _Context:
-    """Shared fixtures, built lazily so single entries stay cheap to run."""
+    """Shared fixtures; the spin operators are built on first use only."""
 
     def __init__(self, config: SuiteConfig):
         self.config = config
         self.par = config.params
         self.rng = np.random.default_rng(config.seed)
-        self._cache = {}
-
-    def reference_grid(self) -> phasespace.PhaseGrid:
         # fixed 256^2 grid for entries with grid-pinned tolerances
-        return self._get("reference_grid", lambda: phasespace.default_grid(8.0, 256))
+        self.reference_grid = phasespace.default_grid(8.0, 256)
+        self.line_grid = schrodinger.default_position_grid(10.0, 512)
 
-    def line_grid(self) -> schrodinger.PositionGrid:
-        return self._get("line_grid", lambda: schrodinger.default_position_grid(10.0, 512))
-
+    @functools.cached_property
     def spin_ops(self) -> spin.TwoModeOperators:
-        return self._get("spin_ops", lambda: spin.two_mode_operators(8, self.par))
+        return spin.two_mode_operators(8, self.par)
 
     def random_points(self, count, scale=2.0):
         return self.rng.normal(scale=scale, size=(count, 2))
-
-    def _get(self, key, maker):
-        if key not in self._cache:
-            self._cache[key] = maker()
-        return self._cache[key]
 
 
 @dataclass(frozen=True)
@@ -208,7 +200,7 @@ def _check_hamiltonian(ctx: _Context):
         "total probability conserved along characteristics")
 def _check_mass_conservation(ctx: _Context):
     par = ctx.par
-    grid = ctx.reference_grid()
+    grid = ctx.reference_grid
     density = phasespace.gaussian_density(grid, par, q0=1.0)
     moved = phasespace.liouville_propagate(density, 1.0 / par.omega, par)
     return abs(moved.mass() - density.mass())
@@ -237,7 +229,7 @@ def _check_hamilton_equations(ctx: _Context):
         "an energy-functional density is a fixed point of transport")
 def _check_stationary_density(ctx: _Context):
     par = ctx.par
-    grid = ctx.reference_grid()
+    grid = ctx.reference_grid
     density = phasespace.hamiltonian_gaussian(grid, par)
     moved = phasespace.liouville_propagate(density, 1.234 / par.omega, par)
     return float(np.abs(moved.values - density.values).max())
@@ -247,7 +239,7 @@ def _check_stationary_density(ctx: _Context):
         "forward/inverse offset transform is an exact discrete pair")
 def _check_transform_pair(ctx: _Context):
     par = ctx.par
-    grid = ctx.reference_grid()
+    grid = ctx.reference_grid
     density = phasespace.gaussian_density(grid, par, q0=1.0)
     back = wigner.wigner_inverse(wigner.wigner_forward(density, par))
     return float(np.abs(back.values - density.values).max())
@@ -255,7 +247,7 @@ def _check_transform_pair(ctx: _Context):
 
 def _coherent_on_grid(ctx: _Context, t: float):
     par = ctx.par
-    grid = ctx.reference_grid()
+    grid = ctx.reference_grid
     line = schrodinger.PositionGrid(grid.q_min, grid.q_max, grid.n_q)
     center = phasespace.hamilton_flow(PhasePoint(1.0, 0.0), t, par)
     state = schrodinger.coherent_state(line, par, center.q, center.p)
@@ -267,7 +259,7 @@ def _coherent_on_grid(ctx: _Context, t: float):
         "(time derivative by central difference)")
 def _check_slice_equation(ctx: _Context):
     par = ctx.par
-    grid = ctx.reference_grid()
+    grid = ctx.reference_grid
     t0 = 0.3 / par.omega
     dt = 1e-3 / par.omega
     ahead = _coherent_on_grid(ctx, t0 + dt)
@@ -291,7 +283,7 @@ def _check_slice_equation(ctx: _Context):
         "two-point product of the ground state matches the closed form")
 def _check_product_form(ctx: _Context):
     par = ctx.par
-    grid = ctx.reference_grid()
+    grid = ctx.reference_grid
     line = schrodinger.PositionGrid(grid.q_min, grid.q_max, grid.n_q)
     state = schrodinger.hermite_eigenstate(0, line, par)
     rho = wigner.wavefunction_to_slice(state, grid, par)
@@ -303,7 +295,7 @@ def _check_product_form(ctx: _Context):
 
 
 def _random_state(ctx: _Context) -> schrodinger.WaveFunction:
-    grid = ctx.line_grid()
+    grid = ctx.line_grid
     k = np.fft.fftfreq(grid.n, d=grid.dq) * 2.0 * np.pi
     spectrum = ctx.rng.normal(size=grid.n) + 1j * ctx.rng.normal(size=grid.n)
     spectrum *= np.exp(-(k / 4.0) ** 2)
@@ -328,7 +320,7 @@ def _check_polar_split(ctx: _Context):
         "(cells above the node cutoff)")
 def _check_first_order_structure(ctx: _Context):
     par = ctx.par
-    grid = ctx.reference_grid()
+    grid = ctx.reference_grid
     line = schrodinger.PositionGrid(grid.q_min, grid.q_max, grid.n_q)
     state = schrodinger.coherent_state(line, par, 1.0, 0.7)
     rho = wigner.wavefunction_to_slice(state, grid, par)
@@ -342,7 +334,7 @@ def _check_first_order_structure(ctx: _Context):
 
 def _eigen_pairs(ctx: _Context, n: int, dt: float):
     par = ctx.par
-    grid = ctx.line_grid()
+    grid = ctx.line_grid
     state = schrodinger.hermite_eigenstate(n, grid, par)
     energy = par.hbar * par.omega * (n + 0.5)
     later = schrodinger.WaveFunction(
@@ -371,7 +363,7 @@ def _check_quantum_hj(ctx: _Context):
     par = ctx.par
     worst = 0.0
     for n in (0, 1, 2):
-        grid = ctx.line_grid()
+        grid = ctx.line_grid
         state = schrodinger.hermite_eigenstate(n, grid, par)
         pair = madelung.decompose(state, par)
         res = madelung.qhj_residual(pair, -par.hbar * par.omega * (n + 0.5), par)
@@ -449,7 +441,7 @@ def _check_mode_rate(ctx: _Context):
         "the transformed-coordinate definition reuses the same exact discrete pair")
 def _check_transformed_transform(ctx: _Context):
     par = ctx.par
-    grid = ctx.reference_grid()
+    grid = ctx.reference_grid
     density = phasespace.hamiltonian_gaussian(grid, par, width=0.8)
     back = wigner.wigner_inverse(wigner.wigner_forward(density, par))
     return float(np.abs(back.values - density.values).max())
@@ -763,7 +755,7 @@ def _check_scale_definition(ctx: _Context):
 
 def _spin_diag(ctx: _Context):
     """Two-mode operators, hbar, modes' dimension, and the number and S0' diagonals."""
-    ops = ctx.spin_ops()
+    ops = ctx.spin_ops
     diagonal = lambda op: np.real(np.diag(op.values))
     return ops, ctx.par.hbar, ops.number.dim_per_mode, diagonal(ops.number), diagonal(ops.s0)
 
@@ -838,7 +830,7 @@ def _check_mode1_transform(ctx: _Context):
     par = ctx.par
     q1, p1, _, _ = _mode4_fields(par)
     pt = spin.Phase4Point(0.4, -0.3, 0.8, 0.5)
-    return abs(spin.poisson_bracket_4d(q1, p1, pt) - 1j / par.hbar)
+    return abs(phasespace.poisson_bracket(q1, p1, pt) - 1j / par.hbar)
 
 
 @_check("Eq.42", 1e-6, "spin.two_mode_transform",
@@ -847,8 +839,8 @@ def _check_mode2_transform(ctx: _Context):
     par = ctx.par
     q1, _, q2, p2 = _mode4_fields(par)
     pt = spin.Phase4Point(-0.6, 0.2, 0.1, 0.9)
-    residual = abs(spin.poisson_bracket_4d(q2, p2, pt) - 1j / par.hbar)
-    return max(residual, abs(spin.poisson_bracket_4d(q1, q2, pt)))
+    residual = abs(phasespace.poisson_bracket(q2, p2, pt) - 1j / par.hbar)
+    return max(residual, abs(phasespace.poisson_bracket(q1, q2, pt)))
 
 
 def _transformed_samples(ctx: _Context, count=100):

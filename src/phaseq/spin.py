@@ -25,7 +25,7 @@ import numpy as np
 from . import fock
 from .canonical import to_normal_modes
 from .errors import DomainError, OutOfTruncation
-from .phasespace import NATURAL, PhasePoint, PhysParams
+from .phasespace import NATURAL, PhasePoint, PhysParams, poisson_bracket
 
 
 @dataclass(frozen=True)
@@ -62,33 +62,7 @@ def spin_functions(pt: Phase4Point, par: PhysParams = NATURAL) -> SpinValues:
     return SpinValues(s0, s1, s2, s3)
 
 
-def poisson_bracket_4d(f, g, pt: Phase4Point, step: float | None = None):
-    """Central-difference Poisson bracket over the planar phase space.
-
-    f and g are callables f(x, y, px, py) -> scalar; the stencil step follows
-    the same 1e-5 * max(1, |coordinate|) rule as the 1D bracket.
-    """
-    coords = np.array([pt.x, pt.y, pt.px, pt.py], dtype=np.float64)
-
-    def gradient(func):
-        out = np.empty(4, dtype=np.complex128)
-        for axis in range(4):
-            h = step if step is not None else 1e-5 * max(1.0, abs(coords[axis]))
-            fwd = coords.copy()
-            bwd = coords.copy()
-            fwd[axis] += h
-            bwd[axis] -= h
-            out[axis] = (func(*fwd) - func(*bwd)) / (2.0 * h)
-        return out
-
-    df = gradient(f)
-    dg = gradient(g)
-    # axis order (x, y, px, py): position i pairs with momentum i + 2
-    value = df[0] * dg[2] - df[2] * dg[0] + df[1] * dg[3] - df[3] * dg[1]
-    return value if np.iscomplexobj(value) else float(value.real)
-
-
-def spin_bracket_table(pt: Phase4Point, par: PhysParams = NATURAL, step: float | None = None):
+def spin_bracket_table(pt: Phase4Point, par: PhysParams = NATURAL):
     """4x4 table of {S_i, S_j} at a point, indices ordered S0..S3."""
     funcs = [
         lambda x, y, px, py, i=i: getattr(spin_functions(Phase4Point(x, y, px, py), par), f"s{i}")
@@ -97,8 +71,7 @@ def spin_bracket_table(pt: Phase4Point, par: PhysParams = NATURAL, step: float |
     table = np.zeros((4, 4))
     for i in range(4):
         for j in range(4):
-            value = poisson_bracket_4d(funcs[i], funcs[j], pt, step)
-            table[i, j] = value.real if isinstance(value, complex) else value
+            table[i, j] = poisson_bracket(funcs[i], funcs[j], pt)
     return table
 
 

@@ -114,48 +114,32 @@ def wigner_inverse(rho: DensitySlice) -> PhaseDensity:
     return PhaseDensity(grid, complex_field.real, rho.time)
 
 
-def matched_phase_grid(grid: PositionGrid, par: PhysParams = NATURAL) -> PhaseGrid:
-    """Square phase grid whose q axis is the given position grid."""
-    mw = par.m * par.omega
-    return PhaseGrid(grid.q_min, grid.q_max, mw * grid.q_min, mw * grid.q_max, grid.n, grid.n)
-
-
 def wavefunction_to_slice(
-    phi: WaveFunction, grid: PhaseGrid | None = None, par: PhysParams = NATURAL
+    phi: WaveFunction, grid: PhaseGrid, par: PhysParams = NATURAL
 ) -> DensitySlice:
     """Two-point product conj(phi(q - dq/2)) * phi(q + dq/2).
 
     The state is resampled at the half-offsets by band-limited interpolation
     and treated as zero outside its own grid window, which kills the periodic
     ghost copies the Fourier shift would otherwise create at large offsets.
+    The offsets are integer multiples of the half step, so -shifts[k] is
+    shifts[n - k] exactly and one set of translates serves both factors.
     """
-    if grid is None:
-        grid = matched_phase_grid(phi.grid, par)
     if (grid.n_q, grid.q_min, grid.q_max) != (phi.grid.n, phi.grid.q_min, phi.grid.q_max):
         raise GridMismatch("phase grid q axis must match the wavefunction grid")
     n_delta = grid.n_p
     step = 2.0 * np.pi * par.hbar / (n_delta * grid.dp)
-    delta = (np.arange(n_delta) - n_delta // 2) * step
-    shifts = delta / 2.0
-    length = phi.grid.length
-    plus = _spectral.shifted(phi.values, length, shifts)
-    minus = _spectral.shifted(phi.values, length, -shifts)
-    zero_col = n_delta // 2
-    plus[zero_col] = phi.values
-    minus[zero_col] = phi.values
-    q = phi.grid.q
-    x_plus = q[None, :] + shifts[:, None]
-    x_minus = q[None, :] - shifts[:, None]
-    inside_plus = (x_plus >= grid.q_min) & (x_plus < grid.q_max)
-    inside_minus = (x_minus >= grid.q_min) & (x_minus < grid.q_max)
-    plus = np.where(inside_plus, plus, 0.0)
-    minus = np.where(inside_minus, minus, 0.0)
+    shifts = (np.arange(n_delta) - n_delta // 2) * step / 2.0
+    translates = _spectral.shifted(phi.values, phi.grid.length, np.append(shifts, -shifts[0]))
+    translates[n_delta // 2] = phi.values
+    plus = translates[:n_delta]
+    minus = translates[n_delta - np.arange(n_delta)]
     values = (np.conj(minus) * plus).T
     return DensitySlice(grid, np.ascontiguousarray(values), phi.time, par.hbar)
 
 
 def wavefunction_to_density(
-    phi: WaveFunction, grid: PhaseGrid | None = None, par: PhysParams = NATURAL
+    phi: WaveFunction, grid: PhaseGrid, par: PhysParams = NATURAL
 ) -> PhaseDensity:
     """Phase-space density of a pure state (slice followed by inversion)."""
     return wigner_inverse(wavefunction_to_slice(phi, grid, par))

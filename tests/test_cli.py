@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import phaseq
-from phaseq import io
+from phaseq import cli, io, report
 from phaseq.cli import main
 from phaseq.phasespace import NATURAL, default_grid
 from phaseq.schrodinger import (
@@ -269,8 +269,18 @@ BAD_OUT = [
 ]
 
 
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("the computation ran before the output path was checked")
+
+
 @pytest.mark.parametrize("command, out, existing, named", BAD_OUT)
-def test_unwritable_output_exits_2(tmp_path, capfd, command, out, existing, named):
+def test_unwritable_output_exits_2(tmp_path, capfd, monkeypatch, command, out, existing, named):
+    if named == out:
+        # a fault in --out itself is refused before any computation; one in
+        # a file under it is found only when that file is written
+        monkeypatch.setattr(report, "run_suite", _refuse_work)
+        for name in ("equivalence_report", "ho_spectrum", "spin_spectrum"):
+            monkeypatch.setattr(cli, name, _refuse_work)
     if existing is not None:
         path = tmp_path / existing
         if existing.endswith("/"):

@@ -114,9 +114,20 @@ def test_mode_brackets():
         return field
 
     q1, p1, q2, p2 = (component(i) for i in range(4))
-    assert abs(spin.poisson_bracket_4d(q1, p1, pt) - 1j / PAR.hbar) < 1e-6
-    assert abs(spin.poisson_bracket_4d(q2, p2, pt) - 1j / PAR.hbar) < 1e-6
-    assert abs(spin.poisson_bracket_4d(q1, p2, pt)) < 1e-6
+    assert abs(ps.poisson_bracket(q1, p1, pt) - 1j / PAR.hbar) < 1e-6
+    assert abs(ps.poisson_bracket(q2, p2, pt) - 1j / PAR.hbar) < 1e-6
+    assert abs(ps.poisson_bracket(q1, p2, pt)) < 1e-6
+
+
+def test_planar_bracket_of_one_axis_matches_the_1d_bracket():
+    # functions of (x, px) alone: the y pair adds exact zeros
+    f = lambda q, p: np.sin(q) * p ** 2 + 1j * q
+    g = lambda q, p: np.cos(p) + q ** 3
+    planar_f = lambda x, y, px, py: f(x, px)
+    planar_g = lambda x, y, px, py: g(x, px)
+    for pt in _random_points(10, seed=8):
+        expected = ps.poisson_bracket(f, g, ps.PhasePoint(pt.x, pt.px))
+        assert ps.poisson_bracket(planar_f, planar_g, pt) == expected
 
 
 # ---------------------------------------------------------------------------

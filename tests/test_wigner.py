@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from phaseq import _spectral
 from phaseq import phasespace as ps
 from phaseq import schrodinger as sc
 from phaseq import wigner as wg
@@ -102,6 +103,44 @@ def test_slice_grid_must_match_state():
 def test_slice_satisfies_invariants():
     state = sc.coherent_state(LINE, PAR, q0=0.5, p0=1.0)
     wg.wavefunction_to_slice(state, GRID, PAR).validate()
+
+
+def test_shift_past_an_edge_does_not_wrap():
+    line = sc.PositionGrid(-8.0, 8.0, 256)
+    packet = np.exp(-8.0 * (line.q - 5.0) ** 2)
+    moved = _spectral.shifted(packet, line.length, [-6.0, 2.0])
+    # the packet at q = 5 lands at 11, beyond the top edge; a periodic
+    # shift would bring it back in at -5
+    assert np.abs(moved[0, line.q < -2.0]).max() <= 1e-12
+    assert np.abs(moved[1] - np.exp(-8.0 * (line.q - 3.0) ** 2)).max() < 1e-12
+
+
+def _two_call_slice(phi, grid, par):
+    """The slice as first built: two periodic shifts, each masked in q."""
+    n = grid.n_p
+    step = 2.0 * np.pi * par.hbar / (n * grid.dp)
+    shifts = (np.arange(n) - n // 2) * step / 2.0
+    k = _spectral.wavenumbers(phi.grid.n, phi.grid.length)
+    spectrum = np.fft.fft(phi.values)
+
+    def translates(s):
+        out = np.fft.ifft(spectrum[None, :] * np.exp(1j * np.outer(s, k)), axis=1)
+        out[n // 2] = phi.values
+        x = phi.grid.q[None, :] + s[:, None]
+        return np.where((x >= grid.q_min) & (x < grid.q_max), out, 0.0)
+
+    return np.ascontiguousarray((np.conj(translates(-shifts)) * translates(shifts)).T)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("par", [PAR, ps.PhysParams(2.54, 0.41, 0.28)])
+def test_slice_matches_two_call_construction_bit_for_bit(n, par):
+    grid = ps.default_grid(8.0, n)
+    line = sc.PositionGrid(-8.0, 8.0, n)
+    for state in (sc.coherent_state(line, par, q0=1.0, p0=0.5),
+                  sc.hermite_eigenstate(3, line, par)):
+        rho = wg.wavefunction_to_slice(state, grid, par)
+        assert rho.values.tobytes() == _two_call_slice(state, grid, par).tobytes()
 
 
 # ---------------------------------------------------------------------------
