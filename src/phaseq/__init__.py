@@ -9,15 +9,12 @@ and the two-mode spin construction, with residuals and spectra for every step.
 from .canonical import (
     NormalModePoint,
     PhaseAngle,
-    normal_mode_flow,
     phase_angle,
     to_normal_modes,
     transformed_hamiltonian,
 )
 from .fock import (
     BargmannPoly,
-    FockOperator,
-    FockState,
     bargmann_apply,
     bargmann_eval,
     bargmann_evolve,
@@ -41,7 +38,6 @@ from .phasespace import (
     PhaseGrid,
     PhasePoint,
     PhysParams,
-    expectation,
     hamilton_flow,
     hamiltonian,
     liouville_propagate,
@@ -51,7 +47,6 @@ from .schrodinger import (
     PositionGrid,
     WaveFunction,
     coherent_state,
-    energy_expectation,
     equivalence_report,
     hermite_eigenstate,
     split_step_evolve,
@@ -59,9 +54,7 @@ from .schrodinger import (
 from .spin import (
     Phase4Point,
     SpinValues,
-    TwoModeOperator,
     lambda_relation,
-    spin_bracket_table,
     spin_eigenvector,
     spin_functions,
     spin_spectrum,

@@ -13,10 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import OriginUndefined
-from .phasespace import NATURAL, PhasePoint, PhysParams, hamiltonian
+from .phasespace import PhasePoint, PhysParams, hamiltonian
 
 
 @dataclass(frozen=True)
@@ -36,24 +34,19 @@ class PhaseAngle:
             raise ValueError(f"theta must lie in (-pi, pi], got {self.theta!r}")
 
 
-def to_normal_modes(pt: PhasePoint, par: PhysParams = NATURAL) -> NormalModePoint:
+def to_normal_modes(pt: PhasePoint, par: PhysParams) -> NormalModePoint:
     """Map (q, p) to the dimensionless complex pair (q1, p1)."""
     a = pt.p / math.sqrt(2.0 * par.hbar * par.m * par.omega)
     b = math.sqrt(par.m * par.omega / (2.0 * par.hbar)) * pt.q
     return NormalModePoint(complex(a, b), complex(a, -b))
 
 
-def transformed_hamiltonian(nm: NormalModePoint, par: PhysParams = NATURAL) -> complex:
+def transformed_hamiltonian(nm: NormalModePoint, par: PhysParams) -> complex:
     """hbar * omega * q1 * p1; exactly real and equal to H for physical points."""
     return par.hbar * par.omega * nm.q1 * nm.p1
 
 
-def normal_mode_flow(q1: complex, t: float, par: PhysParams = NATURAL) -> complex:
-    """Pullback of the oscillator flow: a rigid rotation exp(i w t) * q1."""
-    return np.exp(1j * par.omega * t) * q1
-
-
-def literal_rate_residual(q1: complex, par: PhysParams = NATURAL) -> float:
+def literal_rate_residual(q1: complex, par: PhysParams) -> float:
     """|written rate - chain-rule rate| for dq1/dt at a point.
 
     The written equation of motion assigns dq1/dt = hbar*omega*q1 (a real,
@@ -65,7 +58,7 @@ def literal_rate_residual(q1: complex, par: PhysParams = NATURAL) -> float:
     return float(abs(written - chain))
 
 
-def phase_angle(pt: PhasePoint, par: PhysParams = NATURAL) -> PhaseAngle:
+def phase_angle(pt: PhasePoint, par: PhysParams) -> PhaseAngle:
     """Angle theta with tan(theta) = m*omega*q / p, quadrant-resolved, in (-pi, pi]."""
     if pt.q == 0.0 and pt.p == 0.0:
         raise OriginUndefined("phase angle is undefined at the origin")
@@ -75,14 +68,14 @@ def phase_angle(pt: PhasePoint, par: PhysParams = NATURAL) -> PhaseAngle:
     return PhaseAngle(theta)
 
 
-def shell_point(theta: float, par: PhysParams = NATURAL) -> PhasePoint:
+def shell_point(theta: float, par: PhysParams) -> PhasePoint:
     """The phase point with angle theta on the energy shell H = hbar * omega."""
     p = math.sqrt(2.0 * par.hbar * par.m * par.omega) * math.cos(theta)
     q = math.sin(theta) / math.sqrt(par.m * par.omega / (2.0 * par.hbar))
     return PhasePoint(q, p)
 
 
-def energy_check(pt: PhasePoint, par: PhysParams = NATURAL) -> float:
+def energy_check(pt: PhasePoint, par: PhysParams) -> float:
     """|hbar*omega*q1*p1 - H| at a point (the transformed-Hamiltonian identity)."""
     nm = to_normal_modes(pt, par)
     return abs(transformed_hamiltonian(nm, par) - hamiltonian(pt, par))

@@ -57,7 +57,9 @@ def _writing(path: Path):
 
 
 def _require_parent_dir(path: Path) -> None:
-    """Fail before the work when the directory that would hold ``path`` is missing."""
+    """Fail before the work when ``path`` is a directory or its own directory is missing."""
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
     if not path.parent.is_dir():
         raise ConfigError(f"cannot write {path}: {path.parent} is not a directory")
 

@@ -18,36 +18,6 @@ from .errors import DegreeOverflow, OutOfTruncation
 from .phasespace import NATURAL, PhysParams
 
 DEFAULT_MAX_DEGREE = 128
-DEFAULT_TRUNCATION = 64
-
-
-@dataclass
-class FockOperator:
-    dim: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (self.dim, self.dim):
-            raise ValueError("operator matrix shape does not match dim")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("operator entries must be finite")
-
-
-@dataclass
-class FockState:
-    dim: int
-    values: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (self.dim,):
-            raise ValueError("state vector shape does not match dim")
-        if self.normalized:
-            norm = float(np.linalg.norm(self.values))
-            if abs(norm - 1.0) > 1e-12:
-                raise ValueError(f"state flagged normalized has norm {norm!r}")
 
 
 def ladder_matrices(dim: int):
@@ -58,25 +28,19 @@ def ladder_matrices(dim: int):
     for n in range(1, dim):
         a[n - 1, n] = math.sqrt(n)
     adag = a.conj().T
-    n_op = adag @ a
-    return FockOperator(dim, a), FockOperator(dim, adag), FockOperator(dim, n_op)
+    return a, adag, adag @ a
 
 
-def number_state(n: int, dim: int, normalized: bool = False) -> FockState:
-    """(creation)^n applied to the vacuum; component sqrt(n!) at index n.
-
-    The normalized flag divides by sqrt(n!) to produce a unit vector.
-    """
+def number_state(n: int, dim: int) -> np.ndarray:
+    """(creation)^n applied to the vacuum; component sqrt(n!) at index n."""
     if not 0 <= n < dim:
         raise OutOfTruncation(f"excitation {n} does not fit in truncation {dim}")
     _, adag, _ = ladder_matrices(dim)
     vec = np.zeros(dim, dtype=np.complex128)
     vec[0] = 1.0
     for _ in range(n):
-        vec = adag.values @ vec
-    if normalized:
-        vec = vec / math.sqrt(math.factorial(n))
-    return FockState(dim, vec, normalized)
+        vec = adag @ vec
+    return vec
 
 
 @dataclass(frozen=True)
@@ -85,7 +49,7 @@ class SpectrumResult:
     trusted: np.ndarray
 
 
-def ho_spectrum(dim: int = DEFAULT_TRUNCATION, par: PhysParams = NATURAL) -> SpectrumResult:
+def ho_spectrum(dim: int, par: PhysParams) -> SpectrumResult:
     """Eigenvalues of hbar*omega*(N + P/2) sorted ascending.
 
     P projects onto excitations below the truncation edge, which detaches the
@@ -95,7 +59,7 @@ def ho_spectrum(dim: int = DEFAULT_TRUNCATION, par: PhysParams = NATURAL) -> Spe
     _, _, n_op = ladder_matrices(dim)
     below_edge = np.eye(dim)
     below_edge[-1, -1] = 0.0
-    h = par.hbar * par.omega * (n_op.values + 0.5 * below_edge)
+    h = par.hbar * par.omega * (n_op + 0.5 * below_edge)
     energies = np.linalg.eigvalsh(h)
     trusted = np.ones(dim, dtype=bool)
     trusted[-1] = False
@@ -165,7 +129,7 @@ def bargmann_apply(
     raise ValueError(f"unknown action {which!r}")
 
 
-def annihilate_written_convention(poly: BargmannPoly, par: PhysParams = NATURAL) -> BargmannPoly:
+def annihilate_written_convention(poly: BargmannPoly, par: PhysParams) -> BargmannPoly:
     """Annihilation as literally written, -i*hbar d/dz (report helper only)."""
     c = poly.coeffs
     if c.size == 1:
@@ -173,7 +137,7 @@ def annihilate_written_convention(poly: BargmannPoly, par: PhysParams = NATURAL)
     return BargmannPoly(-1j * par.hbar * c[1:] * np.arange(1, c.size))
 
 
-def bargmann_evolve(poly: BargmannPoly, t: float, par: PhysParams = NATURAL) -> BargmannPoly:
+def bargmann_evolve(poly: BargmannPoly, t: float, par: PhysParams) -> BargmannPoly:
     """Mode-by-mode evolution: degree n picks up exp(-i*omega*(n + 1/2)*t)."""
     n = np.arange(poly.coeffs.size)
     return BargmannPoly(poly.coeffs * np.exp(-1j * par.omega * (n + 0.5) * t))
@@ -184,14 +148,14 @@ def bargmann_eval(poly: BargmannPoly, z) -> np.ndarray:
     return np.polynomial.polynomial.polyval(np.asarray(z, dtype=np.complex128), poly.coeffs)
 
 
-def fock_state_from_poly(poly: BargmannPoly, dim: int) -> FockState:
+def fock_state_from_poly(poly: BargmannPoly, dim: int) -> np.ndarray:
     """Natural isomorphism: the degree-n monomial maps to sqrt(n!) at index n."""
     if poly.degree >= dim:
         raise OutOfTruncation(f"degree {poly.degree} does not fit in truncation {dim}")
     vec = np.zeros(dim, dtype=np.complex128)
     for n, c in enumerate(poly.coeffs):
         vec[n] = c * math.sqrt(math.factorial(n))
-    return FockState(dim, vec, False)
+    return vec
 
 
 @dataclass(frozen=True)

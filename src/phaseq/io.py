@@ -90,7 +90,7 @@ def save_spectrum_csv(path, spectrum: SpectrumResult) -> Path:
     return path
 
 
-def save_spin_csv(path, rows: list[SpinSpectrumRow], hbar: float = 1.0) -> Path:
+def save_spin_csv(path, rows: list[SpinSpectrumRow], hbar: float) -> Path:
     path = Path(path)
     table = np.array(
         [[r.sector, r.sector, r.projection / hbar, r.casimir / hbar ** 2, r.complete] for r in rows],

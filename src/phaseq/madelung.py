@@ -27,7 +27,7 @@ import numpy as np
 from . import _spectral
 from .errors import AllZero, GridMismatch
 from .fock import BargmannPoly
-from .phasespace import NATURAL, PhysParams
+from .phasespace import PhysParams
 from .schrodinger import PositionGrid, WaveFunction
 
 NODE_EPSILON_FACTOR = 1e-3
@@ -57,7 +57,7 @@ class MadelungPair:
         return self.amplitude > self.node_epsilon()
 
 
-def decompose(phi: WaveFunction, par: PhysParams = NATURAL) -> MadelungPair:
+def decompose(phi: WaveFunction, par: PhysParams) -> MadelungPair:
     """Split a state into amplitude and unwrapped action.
 
     Unwrapping runs left to right within each contiguous run of cells whose
@@ -88,7 +88,7 @@ def decompose(phi: WaveFunction, par: PhysParams = NATURAL) -> MadelungPair:
     return MadelungPair(phi.grid, amplitude, par.hbar * unwrapped)
 
 
-def compose(pair: MadelungPair, par: PhysParams = NATURAL, time: float = 0.0) -> WaveFunction:
+def compose(pair: MadelungPair, par: PhysParams, time: float = 0.0) -> WaveFunction:
     """Rebuild amplitude * exp(i * action / hbar)."""
     values = pair.amplitude * np.exp(1j * pair.action / par.hbar)
     return WaveFunction(pair.grid, values, time)
@@ -102,11 +102,6 @@ class ResidualField:
     values: np.ndarray
     mask: np.ndarray
 
-    def max_abs(self) -> float:
-        if not self.mask.any():
-            return 0.0
-        return float(np.abs(self.values[self.mask]).max())
-
 
 def _masked_ratio(numerator: np.ndarray, squared_amplitude: np.ndarray, mask: np.ndarray):
     out = np.zeros_like(numerator)
@@ -114,7 +109,7 @@ def _masked_ratio(numerator: np.ndarray, squared_amplitude: np.ndarray, mask: np
     return out
 
 
-def phase_gradient(pair: MadelungPair, par: PhysParams = NATURAL) -> np.ndarray:
+def phase_gradient(pair: MadelungPair, par: PhysParams) -> np.ndarray:
     """dS/dq from the recomposed field; zero on sub-cutoff cells."""
     phi = compose(pair, par).values
     dphi = _spectral.derivative(phi, pair.grid.length)
@@ -122,7 +117,7 @@ def phase_gradient(pair: MadelungPair, par: PhysParams = NATURAL) -> np.ndarray:
     return _masked_ratio(current, pair.amplitude ** 2, pair.valid_mask())
 
 
-def quantum_potential(pair: MadelungPair, par: PhysParams = NATURAL) -> np.ndarray:
+def quantum_potential(pair: MadelungPair, par: PhysParams) -> np.ndarray:
     """-(hbar^2 / 2m) * amplitude''/amplitude, zero on sub-cutoff cells."""
     phi = compose(pair, par).values
     second = _spectral.derivative(phi, pair.grid.length, order=2)
@@ -134,7 +129,7 @@ def quantum_potential(pair: MadelungPair, par: PhysParams = NATURAL) -> np.ndarr
 
 
 def continuity_residual(
-    pair_t0: MadelungPair, pair_t1: MadelungPair, dt: float, par: PhysParams = NATURAL
+    pair_t0: MadelungPair, pair_t1: MadelungPair, dt: float, par: PhysParams
 ) -> ResidualField:
     """d(amplitude^2)/dt + d/dq(amplitude^2 * (dS/dq) / m) between two snapshots.
 
@@ -159,7 +154,7 @@ def continuity_residual(
     return ResidualField(grid, density_rate + divergence, mask)
 
 
-def qhj_residual(pair: MadelungPair, dSdt, par: PhysParams = NATURAL) -> ResidualField:
+def qhj_residual(pair: MadelungPair, dSdt, par: PhysParams) -> ResidualField:
     """dS/dt + (dS/dq)^2/2m + quantum potential + m w^2 q^2 / 2.
 
     dS/dt is supplied by the caller (a scalar such as -E for an eigenstate,
@@ -195,7 +190,7 @@ class TransformedPairResiduals:
 
 
 def transformed_pair_residuals(
-    poly: BargmannPoly, t: float, par: PhysParams = NATURAL, n_points: int = 512
+    poly: BargmannPoly, t: float, par: PhysParams, n_points: int = 512
 ) -> TransformedPairResiduals:
     """Evaluate the transformed continuity/phase pair for a polynomial state.
 
@@ -242,7 +237,7 @@ def _bump(u, v):
     return g, du, dv
 
 
-def transformed_liouville_residual(q1, p1, t: float, par: PhysParams = NATURAL) -> np.ndarray:
+def transformed_liouville_residual(q1, p1, t: float, par: PhysParams) -> np.ndarray:
     """Residual of the literal transformed advection equation.
 
     The test solution F = g(q1 * e^{-hw t}, p1 * e^{hw t}) rides the written
@@ -261,7 +256,7 @@ def transformed_liouville_residual(q1, p1, t: float, par: PhysParams = NATURAL) 
     return f_t + hw * q1 * f_q1 - hw * p1 * f_p1
 
 
-def transformed_slice_residual(q1, offset, t: float, par: PhysParams = NATURAL) -> np.ndarray:
+def transformed_slice_residual(q1, offset, t: float, par: PhysParams) -> np.ndarray:
     """Residual of the literal transformed two-point equation.
 
     The manufactured solution rho = e^{hw t} g(q1 e^{-hw t}, d e^{hw t})

@@ -97,11 +97,9 @@ def default_grid(extent: float = 8.0, n: int = 256) -> PhaseGrid:
 class PhaseDensity:
     """Real distribution F(q, p) sampled on a PhaseGrid.
 
-    Construction checks shape and finiteness only.  Classical densities are
-    additionally nonnegative and normalised, but transform images of excited
-    quantum states are legitimate quasi-densities with negative regions, so
-    those two checks live in :meth:`validate_classical` and are applied where
-    a genuinely classical distribution is required.
+    Construction checks shape and finiteness only: transform images of
+    excited quantum states are legitimate quasi-densities with negative
+    regions, so nonnegativity and unit mass are not imposed.
     """
 
     grid: PhaseGrid
@@ -121,14 +119,6 @@ class PhaseDensity:
     def mass(self) -> float:
         inner = np.trapezoid(self.values, dx=self.grid.dp, axis=1)
         return float(np.trapezoid(inner, dx=self.grid.dq))
-
-    def validate_classical(self, mass_tol: float = 1e-6, negative_tol: float = 1e-12) -> None:
-        low = float(self.values.min())
-        if low < -negative_tol:
-            raise ValueError(f"density has negative values down to {low:.3e}")
-        mass = self.mass()
-        if abs(mass - 1.0) > mass_tol:
-            raise ValueError(f"density mass {mass!r} deviates from 1 beyond {mass_tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -223,18 +213,6 @@ def poisson_bracket(f, g, pt):
     for i in range(1, half):
         value = value + df[i] * dg[half + i] - df[half + i] * dg[i]
     return value
-
-
-def expectation(f: PhaseDensity, obs) -> float:
-    """Trapezoidal integral of obs * F; obs is a scalar, array, or callable(Q, P)."""
-    if callable(obs):
-        qm, pm = f.grid.meshes()
-        field = np.asarray(obs(qm, pm), dtype=np.float64)
-    else:
-        field = np.asarray(obs, dtype=np.float64)
-    integrand = np.broadcast_to(field, f.values.shape) * f.values
-    inner = np.trapezoid(integrand, dx=f.grid.dp, axis=1)
-    return float(np.trapezoid(inner, dx=f.grid.dq))
 
 
 # ---------------------------------------------------------------------------

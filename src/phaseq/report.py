@@ -49,6 +49,9 @@ REPAIRED = "repaired"
 # imply.  It admits grids and truncations up to 2048 and spin up to n-max 44.
 MAX_DENSE_BYTES = 64 * 2 ** 20
 
+# Truncation of each mode of the two-mode spin operators the spin entries share.
+SPIN_DIM = 8
+
 
 def bound_dense(what: str, value: int, elements: int) -> None:
     """Refuse a size input before allocation when its largest dense array exceeds the cap."""
@@ -106,6 +109,11 @@ class SuiteConfig:
             raise ConfigError("grid extent must be positive")
         if points < 4 or points & (points - 1):
             raise ConfigError("grid point count must be a power of two >= 4")
+        if not schrodinger.step_phase_bound(extent, points, params) <= schrodinger.PHASE_LIMIT:
+            raise ConfigError(
+                f"grid extent {extent:g} at n {points} overflows the split-step phase "
+                f"for m {params.m:g}, omega {params.omega:g}, hbar {params.hbar:g}"
+            )
         bound_dense("grid point count", points, points ** 2)
         if truncation < 2:
             raise ConfigError("truncation must be at least 2")
@@ -151,7 +159,7 @@ class _Context:
 
     @functools.cached_property
     def spin_ops(self) -> spin.TwoModeOperators:
-        return spin.two_mode_operators(8, self.par)
+        return spin.two_mode_operators(SPIN_DIM, self.par)
 
     def random_points(self, count, scale=2.0):
         return self.rng.normal(scale=scale, size=(count, 2))
@@ -555,12 +563,12 @@ def _check_operator_equation(ctx: _Context):
     par = ctx.par
     dim = 16
     a, adag, n_op = fock.ladder_matrices(dim)
-    commutator = a.values @ adag.values - adag.values @ a.values
-    h = par.hbar * par.omega * (n_op.values + 0.5 * commutator)
+    commutator = a @ adag - adag @ a
+    h = par.hbar * par.omega * (n_op + 0.5 * commutator)
     poly = fock.BargmannPoly([0.6, 1.0, 0.0, 0.4j])
     t0 = 0.7 / par.omega
     step = 1e-4 / par.omega
-    vec = lambda t: fock.fock_state_from_poly(fock.bargmann_evolve(poly, t, par), dim).values
+    vec = lambda t: fock.fock_state_from_poly(fock.bargmann_evolve(poly, t, par), dim)
     time_rate = (vec(t0 + step) - vec(t0 - step)) / (2.0 * step)
     return float(np.abs(1j * par.hbar * time_rate - h @ vec(t0)).max())
 
@@ -635,8 +643,8 @@ def _check_number_states(ctx: _Context):
     for n in range(0, 13):
         state = fock.number_state(n, dim)
         expected = math.sqrt(math.factorial(n))
-        worst = max(worst, abs(state.values[n] / expected - 1.0))
-        worst = max(worst, float(np.abs(np.delete(state.values, n)).max()))
+        worst = max(worst, abs(state[n] / expected - 1.0))
+        worst = max(worst, float(np.abs(np.delete(state, n)).max()))
     return worst
 
 
@@ -756,22 +764,22 @@ def _check_scale_definition(ctx: _Context):
 def _spin_diag(ctx: _Context):
     """Two-mode operators, hbar, modes' dimension, and the number and S0' diagonals."""
     ops = ctx.spin_ops
-    diagonal = lambda op: np.real(np.diag(op.values))
-    return ops, ctx.par.hbar, ops.number.dim_per_mode, diagonal(ops.number), diagonal(ops.s0)
+    diagonal = lambda op: np.real(np.diag(op))
+    return ops, ctx.par.hbar, SPIN_DIM, diagonal(ops.number), diagonal(ops.s0)
 
 
 @_check("Eq.37", 1e-12, "spin.two_mode_operators",
         "the total-intensity operator is diagonal with integer hbar multiples")
 def _check_s0_eigenproblem(ctx: _Context):
     ops, hb, _, _, s0_diag = _spin_diag(ctx)
-    off = ops.s0.values - np.diag(np.diag(ops.s0.values))
+    off = ops.s0 - np.diag(np.diag(ops.s0))
     lam = s0_diag / hb
     return max(float(np.abs(off).max()), float(np.abs(lam - np.round(lam)).max()))
 
 
 def _squared_spin(ops, hb):
-    s_prime_sq = ops.s0.values @ ops.s0.values / 4.0
-    return s_prime_sq - hb ** 2 / 4.0 * np.eye(ops.s0.values.shape[0])
+    s_prime_sq = ops.s0 @ ops.s0 / 4.0
+    return s_prime_sq - hb ** 2 / 4.0 * np.eye(ops.s0.shape[0])
 
 
 @_check("Eq.38", 1e-12, "spin.two_mode_operators",
@@ -903,10 +911,10 @@ def _check_diagonal_pair(ctx: _Context):
         "including the vacuum term")
 def _check_quantized_pair(ctx: _Context):
     ops, hb, dim, _, _ = _spin_diag(ctx)
-    one_zero = spin.spin_eigenvector(1, 0, dim).values
-    vacuum = spin.spin_eigenvector(0, 0, dim).values
-    residual = float(np.abs(ops.s2.values @ one_zero - 0.5 * hb * one_zero).max())
-    return max(residual, float(np.abs(ops.s0.values @ vacuum - hb * vacuum).max()))
+    one_zero = spin.spin_eigenvector(1, 0, dim)
+    vacuum = spin.spin_eigenvector(0, 0, dim)
+    residual = float(np.abs(ops.s2 @ one_zero - 0.5 * hb * one_zero).max())
+    return max(residual, float(np.abs(ops.s0 @ vacuum - hb * vacuum).max()))
 
 
 @_check("Eq.48", 1e-12, "spin.two_mode_operators",
@@ -938,7 +946,7 @@ def _check_two_mode_commutators_literal(ctx: _Context):
         convention=REPAIRED)
 def _check_number_operator(ctx: _Context):
     ops, _, _, n_diag, _ = _spin_diag(ctx)
-    off = ops.number.values - np.diag(np.diag(ops.number.values))
+    off = ops.number - np.diag(np.diag(ops.number))
     return max(float(np.abs(off).max()), float(np.abs(n_diag - np.round(n_diag)).max()))
 
 
@@ -973,12 +981,12 @@ def _check_joint_spectrum(ctx: _Context):
         "repeated creation builds the joint eigenvectors with sqrt(n1! n2!) weight")
 def _check_tensor_eigenvectors(ctx: _Context):
     ops, hb, dim, _, _ = _spin_diag(ctx)
-    state = spin.spin_eigenvector(2, 1, dim).values
+    state = spin.spin_eigenvector(2, 1, dim)
     index = 2 * dim + 1
     residual = abs(state[index] - math.sqrt(2.0))
     residual = max(residual, float(np.abs(np.delete(state, index)).max()))
-    residual = max(residual, float(np.abs(ops.number.values @ state - 3.0 * state).max()))
-    return max(residual, float(np.abs(ops.s2.values @ state - 0.5 * hb * state).max()))
+    residual = max(residual, float(np.abs(ops.number @ state - 3.0 * state).max()))
+    return max(residual, float(np.abs(ops.s2 @ state - 0.5 * hb * state).max()))
 
 
 def run_suite(config: SuiteConfig | None = None) -> list[ReportEntry]:

@@ -8,13 +8,14 @@ from the stable three-term recurrence for Hermite functions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _spectral
 from .errors import BoundaryLeak, GridMismatch, GridTooNarrow, NormDrift
-from .phasespace import NATURAL, PhaseDensity, PhaseGrid, PhysParams, liouville_propagate
+from .phasespace import PhaseDensity, PhaseGrid, PhysParams, liouville_propagate
 from .phasespace import _is_power_of_two
 
 # Edge-to-peak guard used by constructors and the evolver.  The 64-point
@@ -100,7 +101,7 @@ def _normalised(grid: PositionGrid, values: np.ndarray, time: float) -> WaveFunc
     return phi
 
 
-def hermite_eigenstate(n: int, grid: PositionGrid, par: PhysParams = NATURAL) -> WaveFunction:
+def hermite_eigenstate(n: int, grid: PositionGrid, par: PhysParams) -> WaveFunction:
     """Normalised oscillator eigenstate built by the stable recurrence.
 
     Uses the orthonormal-function recurrence (not raw Hermite polynomials),
@@ -126,8 +127,30 @@ def minimum_steps(t: float, omega: float) -> int:
     return max(1, math.ceil(40.0 * omega * abs(t) / (2.0 * math.pi)))
 
 
+# Largest step phase a configuration may imply: half the float range, so
+# that rounding in the step count cannot tip the evolver's product over.
+PHASE_LIMIT = sys.float_info.max / 2
+
+
+def step_phase_bound(extent: float, n: int, par: PhysParams) -> float:
+    """Largest phase split_step_evolve can form on [-extent, extent) with n points.
+
+    The accuracy floor caps every step at a fortieth of a period, and the
+    potential and kinetic phases grow with the step, |q| and |k|.  Both are
+    formed in the evolver's own order, so a product that overflows there
+    reads inf or nan here.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, omega, hbar, q = (np.float64(v) for v in (par.m, par.omega, par.hbar, extent))
+        dt = 2.0 * np.pi / (40.0 * omega)
+        k = np.pi * n / (2.0 * q)  # the window's Nyquist wavenumber
+        potential = 0.25 * m * omega ** 2 * q ** 2 * dt / hbar
+        kinetic = 0.5 * hbar * k ** 2 * dt / m
+        return float(np.maximum(potential, kinetic))
+
+
 def coherent_state(
-    grid: PositionGrid, par: PhysParams = NATURAL, q0: float = 0.0, p0: float = 0.0
+    grid: PositionGrid, par: PhysParams, q0: float = 0.0, p0: float = 0.0
 ) -> WaveFunction:
     """Displaced ground state: a Gaussian with linear phase, centred at (q0, p0)."""
     mw = par.m * par.omega
@@ -139,7 +162,7 @@ def coherent_state(
 
 
 def split_step_evolve(
-    phi: WaveFunction, t: float, n_steps: int, par: PhysParams = NATURAL
+    phi: WaveFunction, t: float, n_steps: int, par: PhysParams
 ) -> WaveFunction:
     """Strang-split evolution for time t in n_steps steps.
 
@@ -172,17 +195,6 @@ def split_step_evolve(
     if drift > NORM_DRIFT_LIMIT:
         raise NormDrift(f"norm drifted by {drift:.3e}")
     return WaveFunction(grid, values, phi.time + t)
-
-
-def energy_expectation(phi: WaveFunction, par: PhysParams = NATURAL) -> float:
-    """<phi| kinetic + potential |phi> with a spectral second derivative."""
-    grid = phi.grid
-    second = _spectral.derivative(phi.values, grid.length, order=2)
-    h_phi = (
-        -(par.hbar ** 2) / (2.0 * par.m) * second
-        + 0.5 * par.m * par.omega ** 2 * grid.q ** 2 * phi.values
-    )
-    return float(np.real(np.sum(np.conj(phi.values) * h_phi)) * grid.dq)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 from . import fock
 from .canonical import to_normal_modes
 from .errors import DomainError, OutOfTruncation
-from .phasespace import NATURAL, PhasePoint, PhysParams, poisson_bracket
+from .phasespace import PhasePoint, PhysParams
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class SpinValues:
         return abs(self.s1 ** 2 + self.s2 ** 2 + self.s3 ** 2 - 0.25 * self.s0 ** 2)
 
 
-def spin_functions(pt: Phase4Point, par: PhysParams = NATURAL) -> SpinValues:
+def spin_functions(pt: Phase4Point, par: PhysParams) -> SpinValues:
     """The four quadratic constants of the planar oscillator."""
     m, w = par.m, par.omega
     s1 = (pt.px * pt.py / m + m * w ** 2 * pt.x * pt.y) / (2.0 * w)
@@ -62,20 +62,7 @@ def spin_functions(pt: Phase4Point, par: PhysParams = NATURAL) -> SpinValues:
     return SpinValues(s0, s1, s2, s3)
 
 
-def spin_bracket_table(pt: Phase4Point, par: PhysParams = NATURAL):
-    """4x4 table of {S_i, S_j} at a point, indices ordered S0..S3."""
-    funcs = [
-        lambda x, y, px, py, i=i: getattr(spin_functions(Phase4Point(x, y, px, py), par), f"s{i}")
-        for i in range(4)
-    ]
-    table = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(4):
-            table[i, j] = poisson_bracket(funcs[i], funcs[j], pt)
-    return table
-
-
-def two_mode_transform(pt: Phase4Point, par: PhysParams = NATURAL):
+def two_mode_transform(pt: Phase4Point, par: PhysParams):
     """Per-axis normal-mode map: (x, px) -> (q1, p1) and (y, py) -> (q2, p2)."""
     first = to_normal_modes(PhasePoint(pt.x, pt.px), par)
     second = to_normal_modes(PhasePoint(pt.y, pt.py), par)
@@ -98,7 +85,7 @@ class TransformedSpin:
     s3: complex
 
 
-def transformed_spin_functions(q1, p1, q2, p2, par: PhysParams = NATURAL) -> TransformedSpin:
+def transformed_spin_functions(q1, p1, q2, p2, par: PhysParams) -> TransformedSpin:
     hb = par.hbar
     return TransformedSpin(
         s0=hb * (q1 * p1 + q2 * p2),
@@ -113,47 +100,29 @@ def transformed_spin_functions(q1, p1, q2, p2, par: PhysParams = NATURAL) -> Tra
 # two-mode operators and spectra
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TwoModeOperator:
-    """Operator on the tensor product of two truncated modes.
-
-    Basis index n = n1 * dim_per_mode + n2.
-    """
-
-    dim_per_mode: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        d2 = self.dim_per_mode ** 2
-        if self.values.shape != (d2, d2):
-            raise ValueError("operator shape does not match dim_per_mode^2")
-
-    def hermiticity_defect(self) -> float:
-        return float(np.abs(self.values - np.conj(self.values.T)).max())
-
-
 @dataclass(frozen=True)
 class TwoModeOperators:
-    s0: TwoModeOperator
-    s1: TwoModeOperator
-    s2: TwoModeOperator
-    s3: TwoModeOperator
-    number: TwoModeOperator
+    """Matrices on two modes truncated at dim each; basis index n1 * dim + n2."""
+
+    s0: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    s3: np.ndarray
+    number: np.ndarray
 
 
 def _mode_matrices(dim: int):
     a, adag, _ = fock.ladder_matrices(dim)
     eye = np.eye(dim, dtype=np.complex128)
     return (
-        np.kron(a.values, eye),
-        np.kron(adag.values, eye),
-        np.kron(eye, a.values),
-        np.kron(eye, adag.values),
+        np.kron(a, eye),
+        np.kron(adag, eye),
+        np.kron(eye, a),
+        np.kron(eye, adag),
     )
 
 
-def two_mode_operators(dim: int, par: PhysParams = NATURAL) -> TwoModeOperators:
+def two_mode_operators(dim: int, par: PhysParams) -> TwoModeOperators:
     """Second-quantised spin operators on two modes truncated at dim each.
 
     s0, s2, and the dimensionless number operator take their standard normal
@@ -171,12 +140,10 @@ def two_mode_operators(dim: int, par: PhysParams = NATURAL) -> TwoModeOperators:
     s2 = 0.5 * hb * (c1 @ a1 - c2 @ a2)
     s1 = hb / 2j * ((c1 @ c1 - c2 @ c2) + (a1 @ a1 - a2 @ a2))
     s3 = hb / 2j * (c1 @ a2 - c2 @ a1)
-    number = c1 @ a1 + c2 @ a2
-    wrap = lambda m: TwoModeOperator(dim, m)
-    return TwoModeOperators(wrap(s0), wrap(s1), wrap(s2), wrap(s3), wrap(number))
+    return TwoModeOperators(s0, s1, s2, s3, c1 @ a1 + c2 @ a2)
 
 
-def su2_closure_defects(dim: int, par: PhysParams = NATURAL) -> tuple[float, float]:
+def su2_closure_defects(dim: int, par: PhysParams) -> tuple[float, float]:
     """Commutator-closure defects of the quantized spin triples (reported only).
 
     Measures max |[S_i, S_j] + i*hbar*eps_ijk*S_k| over the cyclic triples,
@@ -193,7 +160,7 @@ def su2_closure_defects(dim: int, par: PhysParams = NATURAL) -> tuple[float, flo
     block = np.ix_(valid, valid)
 
     def defect(first):
-        triple = (first, ops.s2.values, ops.s3.values)
+        triple = (first, ops.s2, ops.s3)
         worst = 0.0
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             commutator = triple[i] @ triple[j] - triple[j] @ triple[i]
@@ -202,7 +169,7 @@ def su2_closure_defects(dim: int, par: PhysParams = NATURAL) -> tuple[float, flo
             )
         return worst
 
-    return defect(ops.s1.values), defect(cross)
+    return defect(ops.s1), defect(cross)
 
 
 @dataclass(frozen=True)
@@ -213,7 +180,7 @@ class SpinSpectrumRow:
     complete: bool     # truncation holds the full multiplet only for N <= dim-1
 
 
-def spin_spectrum(dim: int, par: PhysParams = NATURAL) -> list[SpinSpectrumRow]:
+def spin_spectrum(dim: int, par: PhysParams) -> list[SpinSpectrumRow]:
     """Joint spectrum of the commuting pair (number, S2'), sector by sector.
 
     The number operator is diagonalised, eigenvectors are grouped into
@@ -221,14 +188,14 @@ def spin_spectrum(dim: int, par: PhysParams = NATURAL) -> list[SpinSpectrumRow]:
     with N > dim - 1 lose states to the truncation and are flagged.
     """
     ops = two_mode_operators(dim, par)
-    numbers, vectors = np.linalg.eigh(ops.number.values)
+    numbers, vectors = np.linalg.eigh(ops.number)
     rows: list[SpinSpectrumRow] = []
     for sector in range(0, 2 * dim - 1):
         members = np.where(np.abs(numbers - sector) < 1e-6)[0]
         if members.size == 0:
             continue
         basis = vectors[:, members]
-        block = np.conj(basis.T) @ ops.s2.values @ basis
+        block = np.conj(basis.T) @ ops.s2 @ basis
         projections = np.linalg.eigvalsh(block)
         casimir = par.hbar ** 2 * (sector / 2.0) * (sector / 2.0 + 1.0)
         complete = sector <= dim - 1
@@ -237,7 +204,7 @@ def spin_spectrum(dim: int, par: PhysParams = NATURAL) -> list[SpinSpectrumRow]:
     return rows
 
 
-def lambda_relation(lam: float, par: PhysParams = NATURAL) -> float:
+def lambda_relation(lam: float, par: PhysParams) -> float:
     """Squared-spin eigenvalue hbar^2 ((lam-1)/2)((lam+1)/2) for lam >= 1.
 
     Identical to hbar^2 (N/2)(N/2 + 1) at N = lam - 1; both forms are
@@ -254,7 +221,7 @@ def lambda_relation(lam: float, par: PhysParams = NATURAL) -> float:
     return value
 
 
-def spin_eigenvector(n1: int, n2: int, dim: int) -> fock.FockState:
+def spin_eigenvector(n1: int, n2: int, dim: int) -> np.ndarray:
     """Repeated creation on the two-mode vacuum: component sqrt(n1! n2!).
 
     The result is the unnormalised joint eigenvector of the number operator
@@ -269,4 +236,4 @@ def spin_eigenvector(n1: int, n2: int, dim: int) -> fock.FockState:
         vec = c1 @ vec
     for _ in range(n2):
         vec = c2 @ vec
-    return fock.FockState(dim * dim, vec, False)
+    return vec

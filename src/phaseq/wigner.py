@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _spectral
 from .errors import GridMismatch, NonHermitianInput
-from .phasespace import NATURAL, PhaseDensity, PhaseGrid, PhysParams
+from .phasespace import PhaseDensity, PhaseGrid, PhysParams
 from .schrodinger import PositionGrid, WaveFunction
 
 logger = logging.getLogger(__name__)
@@ -57,16 +57,6 @@ class DensitySlice:
         n = self.grid.n_p
         return (np.arange(n) - n // 2) * self.delta_step
 
-    def validate(self, tol: float = 1e-10) -> None:
-        """Check the Hermitian mirror and real-nonnegative diagonal invariants."""
-        defect = hermiticity_defect(self)
-        if defect > tol:
-            raise ValueError(f"Hermitian mirror defect {defect:.3e} exceeds {tol}")
-        scale = float(np.abs(self.values).max()) or 1.0
-        diag = self.values[:, self.grid.n_p // 2]
-        if np.abs(diag.imag).max() > tol * scale or diag.real.min() < -tol * scale:
-            raise ValueError("diagonal rho(q, 0) is not real nonnegative within tolerance")
-
 
 def hermiticity_defect(rho: DensitySlice) -> float:
     """Scaled max deviation from rho(q, -dq) = conj(rho(q, dq))."""
@@ -83,7 +73,7 @@ def _transform_phases(grid: PhaseGrid, delta: np.ndarray, hbar: float):
     return inner, outer
 
 
-def wigner_forward(f: PhaseDensity, par: PhysParams = NATURAL) -> DensitySlice:
+def wigner_forward(f: PhaseDensity, par: PhysParams) -> DensitySlice:
     """Integrate F against exp(+i p dq / hbar) dp along the momentum axis."""
     grid = f.grid
     n = grid.n_p
@@ -115,7 +105,7 @@ def wigner_inverse(rho: DensitySlice) -> PhaseDensity:
 
 
 def wavefunction_to_slice(
-    phi: WaveFunction, grid: PhaseGrid, par: PhysParams = NATURAL
+    phi: WaveFunction, grid: PhaseGrid, par: PhysParams
 ) -> DensitySlice:
     """Two-point product conj(phi(q - dq/2)) * phi(q + dq/2).
 
@@ -139,7 +129,7 @@ def wavefunction_to_slice(
 
 
 def wavefunction_to_density(
-    phi: WaveFunction, grid: PhaseGrid, par: PhysParams = NATURAL
+    phi: WaveFunction, grid: PhaseGrid, par: PhysParams
 ) -> PhaseDensity:
     """Phase-space density of a pure state (slice followed by inversion)."""
     return wigner_inverse(wavefunction_to_slice(phi, grid, par))
@@ -168,17 +158,6 @@ class EndpointMatrix:
             raise ValueError(f"values shape {self.values.shape} does not match grid ({n}, {n})")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("endpoint matrix must be finite")
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.values)) * self.grid.dq)
-
-    def validate(self, herm_tol: float = 1e-10, trace_tol: float = 1e-8) -> None:
-        scale = float(np.abs(self.values).max()) or 1.0
-        defect = float(np.abs(self.values - np.conj(self.values.T)).max() / scale)
-        if defect > herm_tol:
-            raise ValueError(f"endpoint matrix Hermiticity defect {defect:.3e}")
-        if abs(self.trace() - 1.0) > trace_tol:
-            raise ValueError(f"endpoint matrix trace {self.trace()!r} deviates from 1")
 
 
 def endpoint_matrix(states: Sequence[WaveFunction], weights=None) -> EndpointMatrix:

@@ -65,31 +65,14 @@ def test_transformed_hamiltonian_example_values():
     ) == 0.0
 
 
-def test_mode_flow_zero_time():
-    assert cn.normal_mode_flow(0.3 + 0.4j, 0.0, PAR) == 0.3 + 0.4j
-
-
-def test_mode_flow_quarter_period():
-    q1 = 0.3 + 0.4j
-    rotated = cn.normal_mode_flow(q1, np.pi / (2.0 * PAR.omega), PAR)
-    assert rotated == pytest.approx(1j * q1, abs=1e-15)
-
-
-def test_mode_flow_preserves_modulus():
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        q1 = complex(*rng.normal(size=2))
-        t = float(rng.uniform(0.0, 10.0))
-        assert abs(cn.normal_mode_flow(q1, t, PAR)) == pytest.approx(abs(q1), abs=1e-14)
-
-
 def test_flow_commutes_with_the_map():
     rng = np.random.default_rng(13)
     for _ in range(30):
         pt = ps.PhasePoint(*rng.normal(size=2))
         t = float(rng.uniform(-5.0, 5.0))
         direct = cn.to_normal_modes(ps.hamilton_flow(pt, t, PAR), PAR).q1
-        rotated = cn.normal_mode_flow(cn.to_normal_modes(pt, PAR).q1, t, PAR)
+        # the flow pulls back to a rigid rotation of q1
+        rotated = np.exp(1j * PAR.omega * t) * cn.to_normal_modes(pt, PAR).q1
         assert abs(direct - rotated) < 1e-10
 
 

@@ -35,6 +35,9 @@ def test_bad_config_content_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+# m w^2 q^2 overflows in the evolver's potential phase, though q^2 alone does not.
+OVERFLOW_AT_1E154 = '{"grid": {"extent": 1e154}, "params": {"m": 4, "omega": 4, "hbar": 0.25}}'
+
 # Each case exits 2 at parse time, before any field is allocated.
 MALFORMED = [
     ("verify", '{"params": [1]}', [], "params must be a JSON object"),
@@ -56,6 +59,12 @@ MALFORMED = [
     ("spectrum", None, ["--cutoff", "2049"], "--cutoff 2049"),
     ("spectrum", None, ["--cutoff", "100000"], "MiB limit"),
     ("spin", None, ["--n-max", "45"], "--n-max 45"),
+    ("verify", '{"grid": {"extent": 1e200}}', [], "overflows the split-step phase"),
+    ("verify", OVERFLOW_AT_1E154, [], "overflows the split-step phase"),
+    ("evolve", '{"grid": {"extent": 1e200}}', ["--state", "eigenstate:0", "--time", "1"],
+     "overflows the split-step phase"),
+    ("evolve", OVERFLOW_AT_1E154, ["--state", "eigenstate:0", "--time", "1"],
+     "overflows the split-step phase"),
 ]
 
 
@@ -72,6 +81,16 @@ def test_malformed_or_oversize_input_exits_2(tmp_path, capsys, command, config, 
     assert err.startswith("error: ")
     assert message in err
     assert not out.exists()
+
+
+def test_evolve_completes_at_extent_1e154(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"grid": {"extent": 1e154, "n": 64}}')
+    out = tmp_path / "run"
+    argv = ["evolve", "--state", "coherent:1,0", "--time", "1", "--config", str(config),
+            "--out", str(out), "--no-timestamp"]
+    assert main(argv) == 0
+    assert (out / "density_t1.csv").exists()
 
 
 def test_unknown_subcommand_exits_2():
@@ -259,13 +278,16 @@ def _evolve_argv(tmp_path, state="eigenstate:0", time="1.0"):
 
 # Each --out cannot be written: (command, --out, what to create first, path
 # the error line names).  A trailing "/" creates a directory, anything else
-# an empty file.  The last case makes the forked density_t0 writer fail.
+# an empty file.  The "run" case makes the forked density_t0 writer fail.
 BAD_OUT = [
     (["verify"], "missing_dir/r.json", None, "missing_dir/r.json"),
     (["spectrum", "--cutoff", "4"], "missing_dir/s.csv", None, "missing_dir/s.csv"),
     (["spin", "--n-max", "2"], "missing_dir/s.csv", None, "missing_dir/s.csv"),
     (["evolve"], "taken", "taken", "taken"),
     (["evolve"], "run", "run/density_t0.csv/", "run/density_t0.csv"),
+    (["verify"], "a_dir", "a_dir/", "a_dir"),
+    (["spectrum", "--cutoff", "4"], "a_dir", "a_dir/", "a_dir"),
+    (["spin", "--n-max", "2"], "a_dir", "a_dir/", "a_dir"),
 ]
 
 

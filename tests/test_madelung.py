@@ -13,6 +13,11 @@ PAR = ps.NATURAL
 GRID = sc.default_position_grid()
 
 
+def _masked_max(res):
+    """Largest residual magnitude where the residual is meaningful."""
+    return float(np.abs(res.values[res.mask]).max())
+
+
 def _coherent_snapshot(t, q0=1.0, p0=0.0):
     """Closed-form coherent state at time t; the global phase is irrelevant
     for amplitude/action residuals."""
@@ -78,7 +83,7 @@ def test_stationary_eigenstates_satisfy_continuity():
         energy = PAR.hbar * PAR.omega * (n + 0.5)
         later = sc.WaveFunction(GRID, state.values * np.exp(-1j * energy * dt / PAR.hbar), dt)
         res = md.continuity_residual(md.decompose(state, PAR), md.decompose(later, PAR), dt, PAR)
-        assert res.max_abs() < 1e-8
+        assert _masked_max(res) < 1e-8
 
 
 def test_coherent_state_continuity():
@@ -97,7 +102,7 @@ def test_uniform_fields_give_zero():
     ring = sc.PositionGrid(0.0, 2.0 * np.pi, 128)
     pair = md.MadelungPair(ring, np.ones(128), np.zeros(128))
     res = md.continuity_residual(pair, pair, 0.1, PAR)
-    assert res.max_abs() == 0.0
+    assert _masked_max(res) == 0.0
 
 
 def test_grid_mismatch_rejected():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from phaseq import _spectral
 from phaseq import phasespace as ps
 from phaseq import schrodinger as sc
 from phaseq.errors import BoundaryLeak, GridTooNarrow
@@ -94,17 +95,28 @@ def test_wall_crash_raises():
         sc.split_step_evolve(state, np.pi / 2.0, 256, PAR)
 
 
+def _energy_expectation(phi, par):
+    """<phi| kinetic + potential |phi> with a spectral second derivative."""
+    grid = phi.grid
+    second = _spectral.derivative(phi.values, grid.length, order=2)
+    h_phi = (
+        -(par.hbar ** 2) / (2.0 * par.m) * second
+        + 0.5 * par.m * par.omega ** 2 * grid.q ** 2 * phi.values
+    )
+    return float(np.real(np.sum(np.conj(phi.values) * h_phi)) * grid.dq)
+
+
 def test_energy_expectation_eigenstates():
     for n, expected in ((0, 0.5), (1, 1.5)):
         state = sc.hermite_eigenstate(n, GRID, PAR)
-        assert sc.energy_expectation(state, PAR) == pytest.approx(expected, abs=1e-7)
+        assert _energy_expectation(state, PAR) == pytest.approx(expected, abs=1e-7)
 
 
 def test_energy_expectation_is_linear():
     a = sc.hermite_eigenstate(0, GRID, PAR)
     b = sc.hermite_eigenstate(1, GRID, PAR)
     mix = sc.WaveFunction(GRID, (a.values + b.values) / np.sqrt(2.0))
-    assert sc.energy_expectation(mix, PAR) == pytest.approx(1.0, abs=1e-7)
+    assert _energy_expectation(mix, PAR) == pytest.approx(1.0, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -154,3 +166,20 @@ def test_equivalence_refinement_order():
     ]
     orders = np.log2(np.array(distances[:-1]) / np.array(distances[1:]))
     assert np.all(orders >= 1.8)
+
+
+@pytest.mark.parametrize("extent, n, par, t", [
+    (8.0, 256, PAR, 2.0 * np.pi),
+    (10.0, 64, ps.PhysParams(2.54, 0.41, 0.28), 40.0),
+    (1e-3, 1024, ps.PhysParams(0.3, 3.0, 2.0), 0.1),
+    (1e154, 64, PAR, 100.0),
+])
+def test_step_phase_bound_covers_the_evolver(extent, n, par, t):
+    # the phases split_step_evolve forms at the largest step the floor admits
+    grid = sc.PositionGrid(-extent, extent, n)
+    dt = t / sc.minimum_steps(t, par.omega)
+    k = _spectral.wavenumbers(n, grid.length)
+    potential = np.abs(0.25 * par.m * par.omega ** 2 * grid.q ** 2 * dt / par.hbar).max()
+    kinetic = np.abs(0.5 * par.hbar * k ** 2 * dt / par.m).max()
+    bound = sc.step_phase_bound(extent, n, par)
+    assert max(potential, kinetic) <= bound <= sc.PHASE_LIMIT

@@ -18,6 +18,15 @@ def _random_points(count, seed=41, scale=1.5):
         yield spin.Phase4Point(*map(float, row))
 
 
+def _bracket_table(pt):
+    """4x4 table of {S_i, S_j} at a point, indices ordered S0..S3."""
+    funcs = [
+        lambda *xy, i=i: getattr(spin.spin_functions(spin.Phase4Point(*xy), PAR), f"s{i}")
+        for i in range(4)
+    ]
+    return np.array([[ps.poisson_bracket(f, g, pt) for g in funcs] for f in funcs])
+
+
 # ---------------------------------------------------------------------------
 # classical functions
 # ---------------------------------------------------------------------------
@@ -42,7 +51,7 @@ def test_bracket_closure():
     cyclic = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
     for pt in _random_points(20, seed=42):
         values = spin.spin_functions(pt, PAR)
-        table = spin.spin_bracket_table(pt, PAR)
+        table = _bracket_table(pt)
         for i, j, k in cyclic:
             target = -getattr(values, f"s{k}")
             assert abs(table[i, j] - target) < 5e-6
@@ -51,13 +60,13 @@ def test_bracket_closure():
 
 def test_total_intensity_commutes():
     for pt in _random_points(100, seed=43):
-        table = spin.spin_bracket_table(pt, PAR)
+        table = _bracket_table(pt)
         assert np.abs(table[0, 1:]).max() < 5e-6
 
 
 def test_bracket_diagonal_exactly_zero():
     pt = spin.Phase4Point(0.7, -0.4, 1.1, 0.2)
-    table = spin.spin_bracket_table(pt, PAR)
+    table = _bracket_table(pt)
     assert np.abs(np.diag(table)).max() == 0.0
 
 
@@ -139,33 +148,37 @@ OPS = spin.two_mode_operators(DIM, PAR)
 
 
 def test_mode_difference_action():
-    one_zero = spin.spin_eigenvector(1, 0, DIM).values
-    assert np.abs(OPS.s2.values @ one_zero - 0.5 * PAR.hbar * one_zero).max() < 1e-14
+    one_zero = spin.spin_eigenvector(1, 0, DIM)
+    assert np.abs(OPS.s2 @ one_zero - 0.5 * PAR.hbar * one_zero).max() < 1e-14
 
 
 def test_vacuum_intensity_shift():
-    vacuum = spin.spin_eigenvector(0, 0, DIM).values
-    assert np.abs(OPS.s0.values @ vacuum - PAR.hbar * vacuum).max() < 1e-14
+    vacuum = spin.spin_eigenvector(0, 0, DIM)
+    assert np.abs(OPS.s0 @ vacuum - PAR.hbar * vacuum).max() < 1e-14
 
 
 def test_commuting_pair():
-    commutator = OPS.s0.values @ OPS.s2.values - OPS.s2.values @ OPS.s0.values
+    commutator = OPS.s0 @ OPS.s2 - OPS.s2 @ OPS.s0
     assert np.abs(commutator).max() == 0.0
 
 
+def _hermiticity_defect(matrix):
+    return float(np.abs(matrix - np.conj(matrix.T)).max())
+
+
 def test_observables_are_hermitian():
-    assert OPS.s0.hermiticity_defect() < 1e-12
-    assert OPS.s2.hermiticity_defect() < 1e-12
-    assert OPS.number.hermiticity_defect() < 1e-12
+    assert _hermiticity_defect(OPS.s0) < 1e-12
+    assert _hermiticity_defect(OPS.s2) < 1e-12
+    assert _hermiticity_defect(OPS.number) < 1e-12
 
 
 def test_written_first_operator_is_anti_hermitian():
-    adjoint = np.conj(OPS.s1.values.T)
-    assert np.abs(adjoint + OPS.s1.values).max() < 1e-12
+    adjoint = np.conj(OPS.s1.T)
+    assert np.abs(adjoint + OPS.s1).max() < 1e-12
 
 
 def test_third_operator_is_hermitian():
-    assert OPS.s3.hermiticity_defect() < 1e-12
+    assert _hermiticity_defect(OPS.s3) < 1e-12
 
 
 def test_closure_defects_separate_the_two_sets():
@@ -224,9 +237,9 @@ def test_relabelling_domain():
 def test_eigenvector_components():
     state = spin.spin_eigenvector(2, 1, DIM)
     index = 2 * DIM + 1
-    assert state.values[index] == pytest.approx(math.sqrt(2.0), abs=1e-14)
-    assert np.abs(np.delete(state.values, index)).max() == 0.0
-    assert np.abs(OPS.number.values @ state.values - 3.0 * state.values).max() < 1e-13
+    assert state[index] == pytest.approx(math.sqrt(2.0), abs=1e-14)
+    assert np.abs(np.delete(state, index)).max() == 0.0
+    assert np.abs(OPS.number @ state - 3.0 * state).max() < 1e-13
 
 
 def test_eigenvector_truncation_guard():
@@ -236,5 +249,5 @@ def test_eigenvector_truncation_guard():
 
 def test_vacuum_eigenvector():
     state = spin.spin_eigenvector(0, 0, DIM)
-    assert state.values[0] == 1.0
-    assert np.abs(state.values[1:]).max() == 0.0
+    assert state[0] == 1.0
+    assert np.abs(state[1:]).max() == 0.0

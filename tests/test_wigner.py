@@ -102,7 +102,13 @@ def test_slice_grid_must_match_state():
 
 def test_slice_satisfies_invariants():
     state = sc.coherent_state(LINE, PAR, q0=0.5, p0=1.0)
-    wg.wavefunction_to_slice(state, GRID, PAR).validate()
+    rho = wg.wavefunction_to_slice(state, GRID, PAR)
+    assert wg.hermiticity_defect(rho) <= 1e-10
+    # the diagonal rho(q, 0) is real and nonnegative
+    scale = float(np.abs(rho.values).max())
+    diag = rho.values[:, GRID.n_p // 2]
+    assert np.abs(diag.imag).max() <= 1e-10 * scale
+    assert diag.real.min() >= -1e-10 * scale
 
 
 def test_shift_past_an_edge_does_not_wrap():
@@ -194,4 +200,7 @@ def test_single_cell_state_is_pure():
 
 def test_endpoint_matrix_invariants():
     state = sc.coherent_state(LINE, PAR, q0=1.0, p0=0.3)
-    wg.endpoint_matrix([state]).validate()
+    em = wg.endpoint_matrix([state])
+    scale = float(np.abs(em.values).max())
+    assert np.abs(em.values - np.conj(em.values.T)).max() <= 1e-10 * scale
+    assert float(np.real(np.trace(em.values))) * LINE.dq == pytest.approx(1.0, abs=1e-8)
