@@ -917,11 +917,11 @@ def _check_quantized_pair(ctx: _Context):
     return max(residual, float(np.abs(ops.s0 @ vacuum - hb * vacuum).max()))
 
 
-@_check("Eq.48", 1e-12, "spin.two_mode_operators",
+@_check("Eq.48", 1e-12, "fock.ladder_matrices",
         "unit commutators per mode on the valid subspace, cross-mode terms vanish",
         convention=REPAIRED)
 def _check_two_mode_commutators(ctx: _Context):
-    ops, _, dim, _, _ = _spin_diag(ctx)
+    dim = SPIN_DIM
     a1, c1, a2, c2 = spin._mode_matrices(dim)
     n1 = np.arange(dim * dim) // dim
     n2 = np.arange(dim * dim) % dim

@@ -357,9 +357,13 @@ def test_evolve_files_match_sequential_writes(tmp_path, forks, state, time, buil
 
 
 def test_cli_import_leaves_out_multiprocessing():
+    """Importing the CLI neither loads multiprocessing nor builds the CSV
+    writer's tables, which only a write needs."""
     src = str(Path(phaseq.__file__).resolve().parents[1])
+    script = ("import sys, phaseq.cli; "
+              "print('multiprocessing' in sys.modules, phaseq.io._tables.cache_info().currsize)")
     probe = subprocess.run(
-        [sys.executable, "-c", "import sys, phaseq.cli; print('multiprocessing' in sys.modules)"],
+        [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
-    assert probe.stdout.strip() == "False"
+    assert probe.stdout.split() == ["False", "0"]
