@@ -8,7 +8,6 @@ and the two-mode spin construction, with residuals and spectra for every step.
 
 from .canonical import (
     NormalModePoint,
-    PhaseAngle,
     phase_angle,
     to_normal_modes,
     transformed_hamiltonian,

@@ -25,15 +25,6 @@ class NormalModePoint:
     p1: complex
 
 
-@dataclass(frozen=True)
-class PhaseAngle:
-    theta: float
-
-    def __post_init__(self):
-        if not (-math.pi < self.theta <= math.pi):
-            raise ValueError(f"theta must lie in (-pi, pi], got {self.theta!r}")
-
-
 def to_normal_modes(pt: PhasePoint, par: PhysParams) -> NormalModePoint:
     """Map (q, p) to the dimensionless complex pair (q1, p1)."""
     a = pt.p / math.sqrt(2.0 * par.hbar * par.m * par.omega)
@@ -58,14 +49,14 @@ def literal_rate_residual(q1: complex, par: PhysParams) -> float:
     return float(abs(written - chain))
 
 
-def phase_angle(pt: PhasePoint, par: PhysParams) -> PhaseAngle:
+def phase_angle(pt: PhasePoint, par: PhysParams) -> float:
     """Angle theta with tan(theta) = m*omega*q / p, quadrant-resolved, in (-pi, pi]."""
     if pt.q == 0.0 and pt.p == 0.0:
         raise OriginUndefined("phase angle is undefined at the origin")
     theta = math.atan2(par.m * par.omega * pt.q, pt.p)
     if theta <= -math.pi:
         theta = math.pi
-    return PhaseAngle(theta)
+    return theta
 
 
 def shell_point(theta: float, par: PhysParams) -> PhasePoint:

@@ -175,13 +175,13 @@ def cmd_evolve(args) -> int:
     out_dir = Path(args.out or "evolve_out")
     if out_dir.exists() and not out_dir.is_dir():
         raise ConfigError(f"cannot write {out_dir}: it exists and is not a directory")
-    comparison = equivalence_report(state, args.time, config.params, grid, n_steps)
+    comparison = equivalence_report(state, args.time, config.params, grid)
 
     payload = {
         "state": args.state,
         "time": args.time,
         "n_steps": comparison.n_steps,
-        "grid_points": list(comparison.grid_points),
+        "grid_points": [grid.n_q, grid.n_p],
         "l2_distance": comparison.l2_distance,
         "max_distance": comparison.max_distance,
     }
@@ -227,11 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", help="output path")
+
+    def no_timestamp(p):
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit timestamps for byte-identical reports")
 
     verify = sub.add_parser("verify", help="run the full verification suite")
     common(verify)
+    no_timestamp(verify)
     verify.set_defaults(func=cmd_verify)
 
     spectrum = sub.add_parser("spectrum", help="export the oscillator spectrum as CSV")
@@ -247,6 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     evolve = sub.add_parser("evolve", help="evolve a state and export fields")
     common(evolve)
+    no_timestamp(evolve)
     evolve.add_argument("--state", required=True, help="eigenstate:n or coherent:q0,p0")
     evolve.add_argument("--time", type=float, required=True, help="evolution time")
     evolve.set_defaults(func=cmd_evolve)

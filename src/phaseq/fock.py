@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegreeOverflow, OutOfTruncation
 from .phasespace import NATURAL, PhysParams
 
-DEFAULT_MAX_DEGREE = 128
+MAX_DEGREE = 128
 
 
 def ladder_matrices(dim: int):
@@ -101,23 +101,18 @@ class BargmannPoly:
         return self.coeffs.size == 1 and self.coeffs[0] == 0.0
 
 
-def monomial(n: int, amplitude: complex = 1.0) -> BargmannPoly:
+def monomial(n: int) -> BargmannPoly:
     c = np.zeros(n + 1, dtype=np.complex128)
-    c[n] = amplitude
+    c[n] = 1.0
     return BargmannPoly(c)
 
 
-def bargmann_apply(
-    which: str,
-    poly: BargmannPoly,
-    par: PhysParams = NATURAL,
-    max_degree: int = DEFAULT_MAX_DEGREE,
-) -> BargmannPoly:
+def bargmann_apply(which: str, poly: BargmannPoly, par: PhysParams = NATURAL) -> BargmannPoly:
     """Apply create (multiply by z), annihilate (d/dz), or the energy operator."""
     c = poly.coeffs
     if which == "create":
-        if poly.degree + 1 > max_degree:
-            raise DegreeOverflow(f"degree {poly.degree + 1} exceeds maximum {max_degree}")
+        if poly.degree + 1 > MAX_DEGREE:
+            raise DegreeOverflow(f"degree {poly.degree + 1} exceeds maximum {MAX_DEGREE}")
         return BargmannPoly(np.concatenate([np.zeros(1, dtype=np.complex128), c]))
     if which == "annihilate":
         if c.size == 1:
@@ -162,7 +157,6 @@ def fock_state_from_poly(poly: BargmannPoly, dim: int) -> np.ndarray:
 class PhaseCircleReport:
     """Pointwise deviations of the ladder actions on the unit phase circle."""
 
-    n: int
     create_deviation: float
     annihilate_deviation: float
 
@@ -187,4 +181,4 @@ def phase_circle_action(n: int, theta: np.ndarray) -> PhaseCircleReport:
         annihilate_dev = float(np.abs(lowered).max())
     else:
         annihilate_dev = float(np.abs(lowered - n * np.exp(1j * (n - 1) * theta)).max())
-    return PhaseCircleReport(n, create_dev, annihilate_dev)
+    return PhaseCircleReport(create_dev, annihilate_dev)

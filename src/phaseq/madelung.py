@@ -88,10 +88,10 @@ def decompose(phi: WaveFunction, par: PhysParams) -> MadelungPair:
     return MadelungPair(phi.grid, amplitude, par.hbar * unwrapped)
 
 
-def compose(pair: MadelungPair, par: PhysParams, time: float = 0.0) -> WaveFunction:
+def compose(pair: MadelungPair, par: PhysParams) -> WaveFunction:
     """Rebuild amplitude * exp(i * action / hbar)."""
     values = pair.amplitude * np.exp(1j * pair.action / par.hbar)
-    return WaveFunction(pair.grid, values, time)
+    return WaveFunction(pair.grid, values, 0.0)
 
 
 @dataclass
@@ -189,18 +189,16 @@ class TransformedPairResiduals:
     phase_residual: np.ndarray
 
 
-def transformed_pair_residuals(
-    poly: BargmannPoly, t: float, par: PhysParams, n_points: int = 512
-) -> TransformedPairResiduals:
+def transformed_pair_residuals(poly: BargmannPoly, t: float, par: PhysParams) -> TransformedPairResiduals:
     """Evaluate the transformed continuity/phase pair for a polynomial state.
 
-    The amplitude is evolved mode-by-mode, sampled on the real segment
-    [0.1, 4], split into amplitude and action there, and substituted into the
-    literal pair of transformed equations with analytic derivatives.
+    The amplitude is evolved mode-by-mode, sampled at 512 points of the real
+    segment [0.1, 4], split into amplitude and action there, and substituted
+    into the literal pair of transformed equations with analytic derivatives.
     """
     if poly.is_zero:
         raise AllZero("cannot evaluate residuals for the zero amplitude")
-    positions = np.linspace(0.1, 4.0, n_points)
+    positions = np.linspace(0.1, 4.0, 512)
     n = np.arange(poly.coeffs.size)
     rates = -1j * par.omega * (n + 0.5)
     coeff_t = poly.coeffs * np.exp(rates * t)

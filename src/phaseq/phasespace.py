@@ -23,9 +23,9 @@ from .errors import BoundaryLeak
 class PhysParams:
     """Oscillator constants: mass, angular frequency, and action quantum."""
 
-    m: float = 1.0
-    omega: float = 1.0
-    hbar: float = 1.0
+    m: float
+    omega: float
+    hbar: float
 
     def __post_init__(self):
         for name in ("m", "omega", "hbar"):

@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import canonical, fock, madelung, phasespace, schrodinger, spin, wigner
-from ._spectral import derivative as spectral_derivative
+from ._spectral import derivative as spectral_derivative, wavenumbers
 from .errors import ConfigError
 from .phasespace import NATURAL, PhasePoint, PhysParams
 
@@ -98,13 +98,14 @@ class SuiteConfig:
         raw_params = _object(data.get("params", {}), "params", {"m", "omega", "hbar"})
         raw_grid = _object(data.get("grid", {}), "grid", {"extent", "n"})
         try:
-            params = PhysParams(*(_number(raw_params, key, 1.0) for key in ("m", "omega", "hbar")))
+            params = PhysParams(*(_number(raw_params, key, getattr(SuiteConfig.params, key))
+                                  for key in ("m", "omega", "hbar")))
         except ValueError as exc:
             raise ConfigError(f"invalid configuration value: {exc}") from exc
-        extent = _number(raw_grid, "extent", 8.0)
-        points = _number(raw_grid, "n", 256, integral=True)
-        truncation = _number(data, "truncation", 64, integral=True)
-        seed = _number(data, "seed", 20260810, integral=True)
+        extent = _number(raw_grid, "extent", SuiteConfig.grid_extent)
+        points = _number(raw_grid, "n", SuiteConfig.grid_points, integral=True)
+        truncation = _number(data, "truncation", SuiteConfig.truncation, integral=True)
+        seed = _number(data, "seed", SuiteConfig.seed, integral=True)
         if extent <= 0:
             raise ConfigError("grid extent must be positive")
         if points < 4 or points & (points - 1):
@@ -155,14 +156,14 @@ class _Context:
         self.rng = np.random.default_rng(config.seed)
         # fixed 256^2 grid for entries with grid-pinned tolerances
         self.reference_grid = phasespace.default_grid(8.0, 256)
-        self.line_grid = schrodinger.default_position_grid(10.0, 512)
+        self.line_grid = schrodinger.PositionGrid(-10.0, 10.0, 512)
 
     @functools.cached_property
     def spin_ops(self) -> spin.TwoModeOperators:
         return spin.two_mode_operators(SPIN_DIM, self.par)
 
-    def random_points(self, count, scale=2.0):
-        return self.rng.normal(scale=scale, size=(count, 2))
+    def random_points(self, count):
+        return self.rng.normal(scale=2.0, size=(count, 2))
 
 
 @dataclass(frozen=True)
@@ -304,7 +305,7 @@ def _check_product_form(ctx: _Context):
 
 def _random_state(ctx: _Context) -> schrodinger.WaveFunction:
     grid = ctx.line_grid
-    k = np.fft.fftfreq(grid.n, d=grid.dq) * 2.0 * np.pi
+    k = wavenumbers(grid.n, grid.length)
     spectrum = ctx.rng.normal(size=grid.n) + 1j * ctx.rng.normal(size=grid.n)
     spectrum *= np.exp(-(k / 4.0) ** 2)
     values = np.fft.ifft(spectrum) * np.exp(-grid.q ** 2 / 4.0)
@@ -658,7 +659,7 @@ def _check_angle_definition(ctx: _Context):
         cos_term = pt.p / math.sqrt(2.0 * par.hbar * par.m * par.omega)
         sin_term = math.sqrt(par.m * par.omega / (2.0 * par.hbar)) * pt.q
         worst = max(worst, abs(cos_term ** 2 + sin_term ** 2 - 1.0))
-        worst = max(worst, abs(canonical.phase_angle(pt, par).theta - theta))
+        worst = max(worst, abs(canonical.phase_angle(pt, par) - theta))
     return worst
 
 
@@ -669,7 +670,7 @@ def _check_tangent(ctx: _Context):
     worst = 0.0
     for qp in ctx.random_points(50):
         pt = PhasePoint(float(qp[0]), float(qp[1]) + 3.0)  # keep p away from zero
-        theta = canonical.phase_angle(pt, par).theta
+        theta = canonical.phase_angle(pt, par)
         worst = max(worst, abs(math.tan(theta) * pt.p - par.m * par.omega * pt.q) / max(1.0, abs(pt.p)))
     return worst
 
@@ -851,9 +852,9 @@ def _check_mode2_transform(ctx: _Context):
     return max(residual, abs(phasespace.poisson_bracket(q1, q2, pt)))
 
 
-def _transformed_samples(ctx: _Context, count=100):
+def _transformed_samples(ctx: _Context):
     par = ctx.par
-    pts = ctx.rng.normal(scale=1.5, size=(count, 4))
+    pts = ctx.rng.normal(scale=1.5, size=(100, 4))
     for row in pts:
         pt = spin.Phase4Point(*map(float, row))
         original = spin.spin_functions(pt, par)
@@ -923,11 +924,8 @@ def _check_quantized_pair(ctx: _Context):
 def _check_two_mode_commutators(ctx: _Context):
     dim = SPIN_DIM
     a1, c1, a2, c2 = spin._mode_matrices(dim)
-    n1 = np.arange(dim * dim) // dim
-    n2 = np.arange(dim * dim) % dim
-    valid = (n1 <= dim - 2) & (n2 <= dim - 2)
     eye = np.eye(dim * dim)
-    block = np.ix_(valid, valid)
+    block = spin._valid_block(dim)
     residual = float(np.abs((a1 @ c1 - c1 @ a1 - eye)[block]).max())
     residual = max(residual, float(np.abs((a2 @ c2 - c2 @ a2 - eye)[block]).max()))
     return max(residual, float(np.abs(a1 @ c2 - c2 @ a1).max()))
@@ -962,7 +960,7 @@ def _check_lambda_operator_shift(ctx: _Context):
         convention=REPAIRED)
 def _check_joint_spectrum(ctx: _Context):
     par = ctx.par
-    dim = 8
+    dim = SPIN_DIM
     rows = spin.spin_spectrum(dim, par)
     residual = 0.0
     for sector in range(0, dim):
@@ -989,9 +987,9 @@ def _check_tensor_eigenvectors(ctx: _Context):
     return max(residual, float(np.abs(ops.s2 @ state - 0.5 * hb * state).max()))
 
 
-def run_suite(config: SuiteConfig | None = None) -> list[ReportEntry]:
+def run_suite(config: SuiteConfig) -> list[ReportEntry]:
     """Run every check in definition order, which is also the report order."""
-    ctx = _Context(config or SuiteConfig())
+    ctx = _Context(config)
     entries = []
     for check in _CHECKS:
         result = check.run(ctx)
@@ -1011,7 +1009,7 @@ def suite_passed(entries: list[ReportEntry]) -> bool:
     return all(entry.status != FAIL for entry in entries)
 
 
-def report_payload(entries, config: SuiteConfig, timestamp: bool = True) -> dict:
+def report_payload(entries, config: SuiteConfig, timestamp: bool) -> dict:
     payload = {
         "config": config.as_dict(),
         "entries": [entry.as_dict() for entry in entries],

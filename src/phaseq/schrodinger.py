@@ -52,10 +52,6 @@ class PositionGrid:
         return self.q_min + self.dq * np.arange(self.n)
 
 
-def default_position_grid(extent: float = 10.0, n: int = 512) -> PositionGrid:
-    return PositionGrid(-extent, extent, n)
-
-
 @dataclass
 class WaveFunction:
     grid: PositionGrid
@@ -169,8 +165,6 @@ def split_step_evolve(
     Requires at least 40 steps per oscillation period; the boundary guard is
     checked every step and the final norm drift must stay below 1e-8.
     """
-    if t == 0.0 and n_steps == 0:
-        return WaveFunction(phi.grid, phi.values.copy(), phi.time)
     required = minimum_steps(t, par.omega)
     if n_steps < required:
         raise ValueError(f"n_steps={n_steps} below the accuracy floor {required} for t={t}")
@@ -206,9 +200,7 @@ class EquivalenceReport:
 
     l2_distance: float
     max_distance: float
-    time: float
     n_steps: int
-    grid_points: tuple
     initial: PhaseDensity
     evolved: WaveFunction
     transported: PhaseDensity
@@ -224,11 +216,7 @@ def default_steps(grid_points: int, t: float, omega: float) -> int:
 
 
 def equivalence_report(
-    phi0: WaveFunction,
-    t: float,
-    par: PhysParams,
-    grid: PhaseGrid,
-    n_steps: int | None = None,
+    phi0: WaveFunction, t: float, par: PhysParams, grid: PhaseGrid
 ) -> EquivalenceReport:
     """Compare Liouville transport against split-step evolution through the transform.
 
@@ -238,8 +226,7 @@ def equivalence_report(
     """
     from . import wigner  # deferred: wigner imports this module's types
 
-    if n_steps is None:
-        n_steps = default_steps(grid.n_q, t, par.omega)
+    n_steps = default_steps(grid.n_q, t, par.omega)
     f0 = wigner.wavefunction_to_density(phi0, grid, par)
     phi_t = phi0 if t == 0.0 else split_step_evolve(phi0, t, n_steps, par)
     quantum = wigner.wavefunction_to_density(phi_t, grid, par)
@@ -249,9 +236,7 @@ def equivalence_report(
     return EquivalenceReport(
         l2_distance=l2,
         max_distance=float(np.abs(diff).max()),
-        time=t,
         n_steps=n_steps,
-        grid_points=(grid.n_q, grid.n_p),
         initial=f0,
         evolved=phi_t,
         transported=classical,

@@ -122,6 +122,16 @@ def _mode_matrices(dim: int):
     )
 
 
+def _valid_block(dim: int):
+    """Rows and columns of the states whose occupations both stay below dim - 1.
+
+    Only there do the truncated ladder matrices obey the untruncated algebra.
+    """
+    n1, n2 = np.divmod(np.arange(dim * dim), dim)
+    valid = (n1 <= dim - 2) & (n2 <= dim - 2)
+    return np.ix_(valid, valid)
+
+
 def two_mode_operators(dim: int, par: PhysParams) -> TwoModeOperators:
     """Second-quantised spin operators on two modes truncated at dim each.
 
@@ -131,8 +141,6 @@ def two_mode_operators(dim: int, par: PhysParams) -> TwoModeOperators:
     ordering ambiguity arises in either).  s1, like its classical written
     form, is anti-Hermitian; its algebra is reported, not asserted.
     """
-    if dim < 2:
-        raise ValueError("truncation must be at least 2")
     a1, c1, a2, c2 = _mode_matrices(dim)
     hb = par.hbar
     eye = np.eye(dim * dim, dtype=np.complex128)
@@ -155,9 +163,7 @@ def su2_closure_defects(dim: int, par: PhysParams) -> tuple[float, float]:
     ops = two_mode_operators(dim, par)
     a1, c1, a2, c2 = _mode_matrices(dim)
     cross = par.hbar / 2.0 * (c1 @ a2 + c2 @ a1)
-    occupations = np.arange(dim * dim)
-    valid = ((occupations // dim) <= dim - 2) & ((occupations % dim) <= dim - 2)
-    block = np.ix_(valid, valid)
+    block = _valid_block(dim)
 
     def defect(first):
         triple = (first, ops.s2, ops.s3)
@@ -183,20 +189,17 @@ class SpinSpectrumRow:
 def spin_spectrum(dim: int, par: PhysParams) -> list[SpinSpectrumRow]:
     """Joint spectrum of the commuting pair (number, S2'), sector by sector.
 
-    The number operator is diagonalised, eigenvectors are grouped into
-    integer sectors, and S2' is diagonalised inside each sector.  Sectors
-    with N > dim - 1 lose states to the truncation and are flagged.
+    The number operator is diagonal in the basis |n1, n2>, so sector N holds
+    the states n1 * dim + n2 with n1 + n2 = N, and S2' is diagonalised on
+    that block.  Sectors with N > dim - 1 lose states to the truncation and
+    are flagged.
     """
     ops = two_mode_operators(dim, par)
-    numbers, vectors = np.linalg.eigh(ops.number)
+    n1, n2 = np.divmod(np.arange(dim * dim), dim)
     rows: list[SpinSpectrumRow] = []
     for sector in range(0, 2 * dim - 1):
-        members = np.where(np.abs(numbers - sector) < 1e-6)[0]
-        if members.size == 0:
-            continue
-        basis = vectors[:, members]
-        block = np.conj(basis.T) @ ops.s2 @ basis
-        projections = np.linalg.eigvalsh(block)
+        members = np.flatnonzero(n1 + n2 == sector)
+        projections = np.linalg.eigvalsh(ops.s2[np.ix_(members, members)])
         casimir = par.hbar ** 2 * (sector / 2.0) * (sector / 2.0 + 1.0)
         complete = sector <= dim - 1
         for m in projections:

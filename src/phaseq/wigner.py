@@ -35,8 +35,8 @@ class DensitySlice:
 
     grid: PhaseGrid
     values: np.ndarray
-    time: float = 0.0
-    hbar: float = 1.0
+    time: float
+    hbar: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)

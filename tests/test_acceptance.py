@@ -96,7 +96,7 @@ def test_criterion_04_transform_pair():
 
 
 def test_criterion_05_fluid_residuals():
-    grid = sc.default_position_grid()
+    grid = sc.PositionGrid(-10.0, 10.0, 512)
     with _Timer() as timer:
         worst = 0.0
         dt = 0.05

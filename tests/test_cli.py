@@ -15,7 +15,6 @@ from phaseq.phasespace import NATURAL, default_grid
 from phaseq.schrodinger import (
     PositionGrid,
     coherent_state,
-    default_steps,
     equivalence_report,
     hermite_eigenstate,
 )
@@ -147,6 +146,15 @@ def test_spin_single_row(tmp_path):
 
 def test_spin_rejects_negative(tmp_path):
     assert main(["spin", "--n-max", "-1", "--out", str(tmp_path / "s.csv")]) == 2
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--cutoff", "4"], ["spin", "--n-max", "2"]])
+def test_untimestamped_exports_refuse_no_timestamp(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--no-timestamp", "--out", str(tmp_path / "s.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-timestamp" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_evolve_malformed_state(tmp_path, capsys):
@@ -338,8 +346,7 @@ def test_evolve_files_match_sequential_writes(tmp_path, forks, state, time, buil
     grid = default_grid(8.0, 64)
     line = PositionGrid(grid.q_min, grid.q_max, grid.n_q)
     phi = build(line)
-    comparison = equivalence_report(phi, time, NATURAL, grid,
-                                    default_steps(grid.n_q, time, NATURAL.omega))
+    comparison = equivalence_report(phi, time, NATURAL, grid)
     expected = tmp_path / "expected"
     expected.mkdir()
     io.save_wavefunction(phi, expected / "wavefunction_t0")

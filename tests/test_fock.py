@@ -118,7 +118,7 @@ def test_energy_action_on_monomials():
 
 def test_degree_overflow_guard():
     with pytest.raises(DegreeOverflow):
-        fock.bargmann_apply("create", fock.monomial(4), PAR, max_degree=4)
+        fock.bargmann_apply("create", fock.monomial(fock.MAX_DEGREE), PAR)
 
 
 def test_evolution_phase_on_monomials():
@@ -157,7 +157,7 @@ def test_pictures_are_isomorphic():
         "hamiltonian": PAR.hbar * PAR.omega * (adag @ a + 0.5 * np.eye(dim)),
     }
     for n in range(dim - 1):
-        poly = fock.monomial(n, 0.7 - 0.2j)
+        poly = fock.BargmannPoly([0.0] * n + [0.7 - 0.2j])
         for which, matrix in actions.items():
             applied = fock.bargmann_apply(which, poly, PAR)
             via_poly = fock.fock_state_from_poly(applied, dim)

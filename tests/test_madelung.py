@@ -10,7 +10,7 @@ from phaseq import schrodinger as sc
 from phaseq.errors import AllZero, GridMismatch
 
 PAR = ps.NATURAL
-GRID = sc.default_position_grid()
+GRID = sc.PositionGrid(-10.0, 10.0, 512)
 
 
 def _masked_max(res):

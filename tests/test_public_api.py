@@ -4,8 +4,11 @@ Every public top-level function and class of a module in ``src/phaseq``, and
 every public method of such a class, must be referenced somewhere in the
 package outside ``__init__``: by a name, an attribute, or an import.  API that
 only tests call fails here unless it is listed in ``ALLOWED`` with its reason.
+Likewise every defaulted parameter of a public function or method must be
+passed, by position or keyword, by some call in the package: a default that
+no caller varies is a constant, unless ``ALLOWED_DEFAULTS`` gives a reason.
 Matching is by name, so a method that shares its name with a reached one is
-not caught.
+not caught, and a call through another function of the same name counts.
 """
 
 import ast
@@ -23,6 +26,14 @@ ALLOWED = {
                               "verify's 58 entry ids are fixed",
     "wigner.factorize_pure": "pure-state factorisation (acceptance criterion 10); "
                              "verify's 58 entry ids are fixed",
+}
+
+# Defaulted parameters that no call in the package passes, each kept for a reason.
+ALLOWED_DEFAULTS = {
+    "cli.main(argv)": "tests and the benchmark drive the CLI in-process",
+    "wigner.endpoint_matrix(weights)": "the mixture weights of the allow-listed "
+                                       "endpoint_matrix (acceptance criterion 10)",
+    "phasespace.gaussian_density(p0)": "tests place densities off the q axis",
 }
 
 
@@ -92,3 +103,80 @@ def test_scan_catches_an_uncalled_function():
     defined = public_definitions(modules)
     assert "fock.only_a_test_calls_this" in defined
     assert "only_a_test_calls_this" not in referenced_names(modules)
+
+
+def _functions(modules):
+    """(qualified name, node, bound) for every public function and method;
+    bound methods receive their instance or class as the first parameter."""
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and _public(node.name):
+                yield f"{module}.{node.name}", node, False
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and _public(item.name):
+                        static = any(getattr(d, "id", None) == "staticmethod"
+                                     for d in item.decorator_list)
+                        yield f"{module}.{node.name}.{item.name}", item, not static
+
+
+def defaulted_parameters(modules):
+    """'module.function(param)' -> the ways a call can pass that parameter."""
+    found = {}
+    for qualified, node, bound in _functions(modules):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for index in range(first, len(positional)):
+            name = positional[index].arg
+            found[f"{qualified}({name})"] = {(node.name, index - bound), (node.name, name),
+                                             (node.name, "*"), (node.name, "**")}
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found[f"{qualified}({arg.arg})"] = {(node.name, arg.arg), (node.name, "**")}
+    return found
+
+
+def passed_arguments(modules):
+    """(callee name, position or keyword) for every argument a call passes;
+    '*' and '**' stand for unpacked positional and keyword arguments."""
+    passed = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for index, arg in enumerate(node.args):
+                passed.add((callee, "*" if isinstance(arg, ast.Starred) else index))
+            for keyword in node.keywords:
+                passed.add((callee, keyword.arg or "**"))
+    return passed
+
+
+def unvaried_defaults(modules):
+    passed = passed_arguments(modules)
+    return sorted(key for key, ways in defaulted_parameters(modules).items()
+                  if not ways & passed)
+
+
+def test_every_default_is_passed_or_allowed():
+    unvaried = [key for key in unvaried_defaults(_modules()) if key not in ALLOWED_DEFAULTS]
+    assert unvaried == [], f"defaults that no call in src/phaseq varies: {unvaried}"
+
+
+def test_every_allowed_default_exists_and_is_unvaried():
+    modules = _modules()
+    assert sorted(set(ALLOWED_DEFAULTS) - set(defaulted_parameters(modules))) == []
+    assert sorted(set(ALLOWED_DEFAULTS) - set(unvaried_defaults(modules))) == []
+
+
+def test_scan_catches_an_unvaried_default():
+    source = (PACKAGE / "fock.py").read_text() + (
+        "\n\ndef only_a_test_varies_this(x, knob=1):\n    pass\n"
+        "\n\ndef caller():\n    only_a_test_varies_this(0)\n"
+    )
+    modules = _modules()
+    modules["fock"] = ast.parse(source)
+    assert "fock.only_a_test_varies_this(knob)" in unvaried_defaults(modules)
+    modules["fock"] = ast.parse(source + "    only_a_test_varies_this(0, knob=2)\n")
+    assert "fock.only_a_test_varies_this(knob)" not in unvaried_defaults(modules)

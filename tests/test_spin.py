@@ -223,6 +223,34 @@ def test_incomplete_sectors_flagged():
     assert all(r.complete for r in rows if r.sector <= 3)
 
 
+def _spectrum_by_number_eigensolve(dim, par):
+    """Reference construction: sectors from an eigensolve of the number
+    operator, and S2' projected onto each sector's eigenvectors."""
+    ops = spin.two_mode_operators(dim, par)
+    numbers, vectors = np.linalg.eigh(ops.number)
+    rows = []
+    for sector in range(0, 2 * dim - 1):
+        members = np.where(np.abs(numbers - sector) < 1e-6)[0]
+        if members.size == 0:
+            continue
+        basis = vectors[:, members]
+        projections = np.linalg.eigvalsh(np.conj(basis.T) @ ops.s2 @ basis)
+        casimir = par.hbar ** 2 * (sector / 2.0) * (sector / 2.0 + 1.0)
+        rows.extend(spin.SpinSpectrumRow(sector, float(m), casimir, sector <= dim - 1)
+                    for m in projections)
+    return rows
+
+
+@pytest.mark.parametrize("par", [PAR, ps.PhysParams(2.54, 0.41, 0.28)])
+@pytest.mark.parametrize("dim", [2, 3, 8, 16])
+def test_spectrum_rows_equal_the_number_eigensolve(dim, par):
+    # equal bits, signed zeros included, so the exported CSV keeps its bytes
+    def bits(rows):
+        return [(r.sector, r.projection.hex(), r.casimir.hex(), r.complete) for r in rows]
+
+    assert bits(spin.spin_spectrum(dim, par)) == bits(_spectrum_by_number_eigensolve(dim, par))
+
+
 def test_eigenvalue_relabelling():
     assert spin.lambda_relation(2.0, PAR) == pytest.approx(0.75, abs=1e-14)
     assert spin.lambda_relation(1.0, PAR) == 0.0
