@@ -10,7 +10,7 @@ computed by the report helpers here but never asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,7 +79,7 @@ class BargmannPoly:
     single coefficient [0].
     """
 
-    coeffs: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.complex128))
+    coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=np.complex128))

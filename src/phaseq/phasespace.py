@@ -104,7 +104,7 @@ class PhaseDensity:
 
     grid: PhaseGrid
     values: np.ndarray
-    time: float = 0.0
+    time: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -177,7 +177,8 @@ def liouville_propagate(f: PhaseDensity, t: float, par: PhysParams) -> PhaseDens
             grid.n_p, grid.p_max - grid.p_min, math.sin(a) * mw * grid.q, axis=1
         )
         for _ in range(turns):
-            new_values = shear_q(shear_p(shear_q(new_values)))
+            shear_q(shear_p(shear_q(new_values)))  # each shear works in place
+        del shear_q, shear_p  # free the ramps before frame_mass takes |values|
     result = PhaseDensity(grid, new_values, f.time + t)
     leaked = frame_mass(result)
     if leaked > FRAME_MASS_LIMIT:

@@ -141,7 +141,7 @@ class ReportEntry:
     status: str
     module: str
     operation: str
-    detail: str = ""
+    detail: str
 
     def as_dict(self) -> dict:
         return asdict(self)

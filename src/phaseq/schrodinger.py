@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,7 @@ class PositionGrid:
 class WaveFunction:
     grid: PositionGrid
     values: np.ndarray
-    time: float = 0.0
+    time: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
@@ -223,19 +224,45 @@ def equivalence_report(
     Route A evolves the state and maps it to a phase-space density; route B
     maps the initial state first and transports the density classically.  For
     the quadratic Hamiltonian the two agree up to discretisation error.
+
+    Route B runs on a worker thread while this thread runs route A; their
+    FFTs and array arithmetic release the interpreter lock.  The worker is
+    joined before this function returns or raises, and an error is raised
+    as the routes run in series would: the transform of the initial state
+    first, then route A, then the transport.
     """
     from . import wigner  # deferred: wigner imports this module's types
 
     n_steps = default_steps(grid.n_q, t, par.omega)
-    f0 = wigner.wavefunction_to_density(phi0, grid, par)
-    phi_t = phi0 if t == 0.0 else split_step_evolve(phi0, t, n_steps, par)
-    quantum = wigner.wavefunction_to_density(phi_t, grid, par)
-    classical = liouville_propagate(f0, t, par)
-    diff = quantum.values - classical.values
-    l2 = float(np.sqrt(np.sum(diff ** 2) * grid.dq * grid.dp))
+    route_b = {}
+
+    def transport():
+        try:
+            route_b["initial"] = wigner.wavefunction_to_density(phi0, grid, par)
+            route_b["transported"] = liouville_propagate(route_b["initial"], t, par)
+        except BaseException as exc:  # raised on the calling thread after the join
+            route_b["error"] = exc
+
+    worker = threading.Thread(target=transport, name="phaseq-transport")
+    worker.start()
+    try:
+        phi_t = phi0 if t == 0.0 else split_step_evolve(phi0, t, n_steps, par)
+        quantum = wigner.wavefunction_to_density(phi_t, grid, par)
+    except BaseException:
+        worker.join()
+        if "initial" not in route_b:
+            raise route_b["error"] from None
+        raise
+    worker.join()
+    if "error" in route_b:
+        raise route_b["error"]
+    f0, classical = route_b["initial"], route_b["transported"]
+    gap = np.subtract(quantum.values, classical.values, out=quantum.values)
+    max_distance = float(np.abs(gap, out=gap).max())
+    l2 = float(np.sqrt(np.sum(np.square(gap, out=gap)) * grid.dq * grid.dp))
     return EquivalenceReport(
         l2_distance=l2,
-        max_distance=float(np.abs(diff).max()),
+        max_distance=max_distance,
         n_steps=n_steps,
         initial=f0,
         evolved=phi_t,

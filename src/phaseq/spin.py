@@ -132,6 +132,11 @@ def _valid_block(dim: int):
     return np.ix_(valid, valid)
 
 
+def _s2(a1, c1, a2, c2, par: PhysParams) -> np.ndarray:
+    """S2 = (hbar/2)(a1+ a1 - a2+ a2), shared by two_mode_operators and spin_spectrum."""
+    return 0.5 * par.hbar * (c1 @ a1 - c2 @ a2)
+
+
 def two_mode_operators(dim: int, par: PhysParams) -> TwoModeOperators:
     """Second-quantised spin operators on two modes truncated at dim each.
 
@@ -145,7 +150,7 @@ def two_mode_operators(dim: int, par: PhysParams) -> TwoModeOperators:
     hb = par.hbar
     eye = np.eye(dim * dim, dtype=np.complex128)
     s0 = hb * (c1 @ a1 + c2 @ a2 + eye)
-    s2 = 0.5 * hb * (c1 @ a1 - c2 @ a2)
+    s2 = _s2(a1, c1, a2, c2, par)
     s1 = hb / 2j * ((c1 @ c1 - c2 @ c2) + (a1 @ a1 - a2 @ a2))
     s3 = hb / 2j * (c1 @ a2 - c2 @ a1)
     return TwoModeOperators(s0, s1, s2, s3, c1 @ a1 + c2 @ a2)
@@ -192,14 +197,15 @@ def spin_spectrum(dim: int, par: PhysParams) -> list[SpinSpectrumRow]:
     The number operator is diagonal in the basis |n1, n2>, so sector N holds
     the states n1 * dim + n2 with n1 + n2 = N, and S2' is diagonalised on
     that block.  Sectors with N > dim - 1 lose states to the truncation and
-    are flagged.
+    are flagged.  Only S2' is built: its two dense products are all the
+    spectrum reads.
     """
-    ops = two_mode_operators(dim, par)
+    s2 = _s2(*_mode_matrices(dim), par)
     n1, n2 = np.divmod(np.arange(dim * dim), dim)
     rows: list[SpinSpectrumRow] = []
     for sector in range(0, 2 * dim - 1):
         members = np.flatnonzero(n1 + n2 == sector)
-        projections = np.linalg.eigvalsh(ops.s2[np.ix_(members, members)])
+        projections = np.linalg.eigvalsh(s2[np.ix_(members, members)])
         casimir = par.hbar ** 2 * (sector / 2.0) * (sector / 2.0 + 1.0)
         complete = sector <= dim - 1
         for m in projections:

@@ -58,14 +58,6 @@ class DensitySlice:
         return (np.arange(n) - n // 2) * self.delta_step
 
 
-def hermiticity_defect(rho: DensitySlice) -> float:
-    """Scaled max deviation from rho(q, -dq) = conj(rho(q, dq))."""
-    values = rho.values
-    mirrored = np.conj(np.roll(values[:, ::-1], 1, axis=1))  # column j <- column -j mod n
-    scale = float(np.abs(values).max()) or 1.0
-    return float(np.abs(values - mirrored).max() / scale)
-
-
 def _transform_phases(grid: PhaseGrid, delta: np.ndarray, hbar: float):
     j = np.arange(grid.n_p)
     inner = np.exp(1j * j * grid.dp * delta[0] / hbar)
@@ -86,22 +78,39 @@ def wigner_forward(f: PhaseDensity, par: PhysParams) -> DensitySlice:
 
 
 def wigner_inverse(rho: DensitySlice) -> PhaseDensity:
-    """Inverse transform with the -i kernel and 1/(2 pi hbar) normalisation."""
-    defect = hermiticity_defect(rho)
+    """Inverse transform with the -i kernel and 1/(2 pi hbar) normalisation.
+
+    The slice must be Hermitian, rho(q, -dq) = conj(rho(q, dq)), to within
+    1e-6 of its peak.  Rows are checked and transformed BLOCK at a time, so
+    the only full-size array made is the real density returned.
+    """
+    grid = rho.grid
+    inner, outer = _transform_phases(grid, rho.delta, rho.hbar)
+    kernel = np.conj(outer)[None, :]
+    weight = (rho.delta_step / (2.0 * np.pi * rho.hbar)) * np.conj(inner)[None, :]
+    mirror = -np.arange(grid.n_p) % grid.n_p  # column j <- column -j mod n
+    density = np.empty((grid.n_q, grid.n_p))
+    peak = gap = scale = residue = 0.0
+    for start in range(0, grid.n_q, _spectral.BLOCK):
+        rows = slice(start, start + _spectral.BLOCK)
+        block = rho.values[rows]
+        peak = max(peak, np.abs(block).max())
+        gap = max(gap, np.abs(block - np.conj(block[:, mirror])).max())
+        field = block * kernel
+        np.fft.fft(field, axis=1, out=field)
+        np.multiply(weight, field, out=field)
+        residue = max(residue, np.abs(field.imag).max())
+        scale = max(scale, np.abs(field.real).max())
+        density[rows] = field.real
+    defect = float(gap / (float(peak) or 1.0))
     if defect > 1e-6:
         raise NonHermitianInput(f"Hermitian mirror defect {defect:.3e} exceeds 1e-6")
-    grid = rho.grid
-    delta = rho.delta
-    inner, outer = _transform_phases(grid, delta, rho.hbar)
-    spectra = np.fft.fft(rho.values * np.conj(outer)[None, :], axis=1)
-    complex_field = (rho.delta_step / (2.0 * np.pi * rho.hbar)) * np.conj(inner)[None, :] * spectra
-    residue = float(np.abs(complex_field.imag).max())
-    scale = float(np.abs(complex_field.real).max()) or 1.0
+    residue, scale = float(residue), float(scale) or 1.0
     if residue > 1e-10 * scale:
         logger.warning("discarding imaginary residue %.3e after inversion", residue)
     else:
         logger.debug("imaginary residue after inversion: %.3e", residue)
-    return PhaseDensity(grid, complex_field.real, rho.time)
+    return PhaseDensity(grid, density, rho.time)
 
 
 def wavefunction_to_slice(
@@ -112,20 +121,32 @@ def wavefunction_to_slice(
     The state is resampled at the half-offsets by band-limited interpolation
     and treated as zero outside its own grid window, which kills the periodic
     ghost copies the Fourier shift would otherwise create at large offsets.
-    The offsets are integer multiples of the half step, so -shifts[k] is
-    shifts[n - k] exactly and one set of translates serves both factors.
+    The offsets are integer multiples of the half step, so -shifts[j] is
+    shifts[n - j] exactly: columns j and n - j are products of the same two
+    translates.  The columns are built in such mirrored pairs, BLOCK pairs at
+    a time, so each translate is made once and no table of them is held.
     """
     if (grid.n_q, grid.q_min, grid.q_max) != (phi.grid.n, phi.grid.q_min, phi.grid.q_max):
         raise GridMismatch("phase grid q axis must match the wavefunction grid")
-    n_delta = grid.n_p
-    step = 2.0 * np.pi * par.hbar / (n_delta * grid.dp)
-    shifts = (np.arange(n_delta) - n_delta // 2) * step / 2.0
-    translates = _spectral.shifted(phi.values, phi.grid.length, np.append(shifts, -shifts[0]))
-    translates[n_delta // 2] = phi.values
-    plus = translates[:n_delta]
-    minus = translates[n_delta - np.arange(n_delta)]
-    values = (np.conj(minus) * plus).T
-    return DensitySlice(grid, np.ascontiguousarray(values), phi.time, par.hbar)
+    n = grid.n_p
+    half = n // 2
+    step = 2.0 * np.pi * par.hbar / (n * grid.dp)
+    shifts = (np.arange(n + 1) - half) * step / 2.0
+    values = np.empty((grid.n_q, n), dtype=np.complex128)
+    for start in range(0, half + 1, _spectral.BLOCK):
+        stop = min(start + _spectral.BLOCK, half + 1)
+        j = np.arange(start, stop)
+        rows = np.append(j, n - j)
+        translates = _spectral.shifted(phi.values, phi.grid.length, shifts[rows])
+        translates[rows == half] = phi.values  # the zero shift, exact rather than round-tripped
+        plus, minus = translates[: stop - start], translates[stop - start:]
+        values[:, start:stop] = (np.conj(minus) * plus).T
+        # columns n - j for 0 < j < half, in descending j
+        low, high = max(start, 1), min(stop, half)
+        if low < high:
+            pairs = slice(low - start, high - start)
+            values[:, n - high + 1 : n - low + 1] = (np.conj(plus[pairs]) * minus[pairs])[::-1].T
+    return DensitySlice(grid, values, phi.time, par.hbar)
 
 
 def wavefunction_to_density(

@@ -186,7 +186,7 @@ def test_criterion_10_pure_state_factorisation():
         for _ in range(20):
             spectrum = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
             values = np.fft.ifft(spectrum * np.exp(-(k / 4.0) ** 2)) * np.exp(-grid.q ** 2 / 4.0)
-            state = sc.WaveFunction(grid, values)
+            state = sc.WaveFunction(grid, values, 0.0)
             state.values = state.values / state.norm()
             result = wg.factorize_pure(wg.endpoint_matrix([state]))
             worst_fid = min(worst_fid, result.state.fidelity(state))

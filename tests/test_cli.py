@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -332,6 +333,22 @@ def test_evolve_reaps_writer_when_own_write_fails(tmp_path, capfd, forks):
     _assert_reaped(forks)
     assert f"cannot write {out / 'wavefunction_t0.csv'}" in capfd.readouterr().err
     assert (out / "density_t0.json").exists()
+
+
+def test_evolve_forks_with_one_live_thread(tmp_path, monkeypatch):
+    # a fork copies only the calling thread: the transport worker of
+    # equivalence_report must have been joined before the writer forks
+    live = []
+    real_fork = os.fork
+
+    def fork():
+        live.append(threading.active_count())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    argv = _evolve_argv(tmp_path, "coherent:1,0", "2.9")
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 0
+    assert live == [1]
 
 
 @pytest.mark.parametrize("state, time, build", [

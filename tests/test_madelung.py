@@ -32,7 +32,7 @@ def _coherent_snapshot(t, q0=1.0, p0=0.0):
 def test_plane_wave_split():
     values = np.exp(1j * GRID.q) * np.exp(-GRID.q ** 2 / 50.0)
     # wide envelope keeps the state well interior; action must be hbar * q + const
-    phi = sc.WaveFunction(GRID, values)
+    phi = sc.WaveFunction(GRID, values, 0.0)
     pair = md.decompose(phi, PAR)
     mask = pair.valid_mask() & (np.abs(GRID.q) < 6.0)
     action = pair.action[mask] - PAR.hbar * GRID.q[mask]
@@ -51,7 +51,7 @@ def test_round_trip_fidelity():
     for _ in range(50):
         spectrum = rng.normal(size=GRID.n) + 1j * rng.normal(size=GRID.n)
         values = np.fft.ifft(spectrum * np.exp(-(k / 4.0) ** 2)) * np.exp(-GRID.q ** 2 / 4.0)
-        phi = sc.WaveFunction(GRID, values)
+        phi = sc.WaveFunction(GRID, values, 0.0)
         phi.values = phi.values / phi.norm()
         pair = md.decompose(phi, PAR)
         assert phi.fidelity(md.compose(pair, PAR)) > 1.0 - 1e-12
@@ -59,13 +59,13 @@ def test_round_trip_fidelity():
 
 def test_zero_state_rejected():
     with pytest.raises(AllZero):
-        md.decompose(sc.WaveFunction(GRID, np.zeros(GRID.n, dtype=complex)), PAR)
+        md.decompose(sc.WaveFunction(GRID, np.zeros(GRID.n, dtype=complex), 0.0), PAR)
 
 
 def test_action_is_continuous_between_nodes():
     state = sc.hermite_eigenstate(2, GRID, PAR)
     phase = np.exp(1j * 0.8)  # global phase exercises the unwrap path
-    pair = md.decompose(sc.WaveFunction(GRID, state.values * phase), PAR)
+    pair = md.decompose(sc.WaveFunction(GRID, state.values * phase, 0.0), PAR)
     mask = pair.valid_mask()
     jumps = np.abs(np.diff(pair.action[mask]))
     # continuity within segments; the pi jumps at the two nodes remain

@@ -78,7 +78,7 @@ def test_grid_requires_ordered_extents():
 def test_density_shape_checked():
     grid = ps.default_grid(8.0, 64)
     with pytest.raises(ValueError):
-        ps.PhaseDensity(grid, np.zeros((64, 32)))
+        ps.PhaseDensity(grid, np.zeros((64, 32)), 0.0)
 
 
 def test_gaussian_density_is_classical():

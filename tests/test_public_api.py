@@ -4,9 +4,10 @@ Every public top-level function and class of a module in ``src/phaseq``, and
 every public method of such a class, must be referenced somewhere in the
 package outside ``__init__``: by a name, an attribute, or an import.  API that
 only tests call fails here unless it is listed in ``ALLOWED`` with its reason.
-Likewise every defaulted parameter of a public function or method must be
-passed, by position or keyword, by some call in the package: a default that
-no caller varies is a constant, unless ``ALLOWED_DEFAULTS`` gives a reason.
+Likewise every defaulted parameter of a public function or method, and every
+field of a public dataclass that has a value, must be passed, by position or
+keyword, by some call in the package: a default that no caller varies is a
+constant, unless ``ALLOWED_DEFAULTS`` gives a reason.
 Matching is by name, so a method that shares its name with a reached one is
 not caught, and a call through another function of the same name counts.
 """
@@ -120,9 +121,34 @@ def _functions(modules):
                         yield f"{module}.{node.name}.{item.name}", item, not static
 
 
-def defaulted_parameters(modules):
-    """'module.function(param)' -> the ways a call can pass that parameter."""
+def _is_dataclass(node):
+    return any(getattr(d, "id", None) == "dataclass"
+               or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def defaulted_fields(modules):
+    """'module.Class(field)' -> the ways a constructor call can pass that field,
+    for every field of a public dataclass that has a value."""
     found = {}
+    for module, tree in modules.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and _public(node.name) and _is_dataclass(node)):
+                continue
+            fields = [item for item in node.body
+                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            for index, item in enumerate(fields):
+                if item.value is not None:
+                    name = item.target.id
+                    found[f"{module}.{node.name}({name})"] = {
+                        (node.name, index), (node.name, name), (node.name, "*"), (node.name, "**")}
+    return found
+
+
+def defaulted_parameters(modules):
+    """'module.function(param)' -> the ways a call can pass that parameter,
+    dataclass fields with a value included."""
+    found = defaulted_fields(modules)
     for qualified, node, bound in _functions(modules):
         args = node.args
         positional = args.posonlyargs + args.args
@@ -180,3 +206,19 @@ def test_scan_catches_an_unvaried_default():
     assert "fock.only_a_test_varies_this(knob)" in unvaried_defaults(modules)
     modules["fock"] = ast.parse(source + "    only_a_test_varies_this(0, knob=2)\n")
     assert "fock.only_a_test_varies_this(knob)" not in unvaried_defaults(modules)
+
+
+def test_scan_catches_an_unvaried_field():
+    source = (PACKAGE / "fock.py").read_text() + (
+        "\n\n@dataclass(frozen=True)\nclass OnlyATestVariesThis:\n    x: int\n    knob: int = 1\n"
+        "\n\ndef caller():\n    OnlyATestVariesThis(0)\n"
+    )
+    modules = _modules()
+    modules["fock"] = ast.parse(source)
+    assert "fock.OnlyATestVariesThis(knob)" in unvaried_defaults(modules)
+    assert "fock.OnlyATestVariesThis(x)" not in defaulted_parameters(modules)
+    for call in ("OnlyATestVariesThis(0, 2)", "OnlyATestVariesThis(0, knob=2)"):
+        varied = ast.parse(source + f"    {call}\n")
+        modules["fock"] = varied
+        assert "fock.OnlyATestVariesThis(knob)" not in unvaried_defaults(modules)
+

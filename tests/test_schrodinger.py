@@ -1,11 +1,16 @@
 """Eigenstates, split-step evolution, energies, and the equivalence report."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from phaseq import _spectral
 from phaseq import phasespace as ps
 from phaseq import schrodinger as sc
+from phaseq import wigner as wg
 from phaseq.errors import BoundaryLeak, GridTooNarrow
 
 PAR = ps.NATURAL
@@ -50,7 +55,7 @@ def test_eigenstate_evolution_is_a_phase():
     period = 2.0 * np.pi / PAR.omega
     evolved = sc.split_step_evolve(state, period, 2048, PAR)
     energy = PAR.hbar * PAR.omega * (n + 0.5)
-    reference = sc.WaveFunction(GRID, state.values * np.exp(-1j * energy * period / PAR.hbar))
+    reference = sc.WaveFunction(GRID, state.values * np.exp(-1j * energy * period / PAR.hbar), 0.0)
     assert evolved.fidelity(reference) > 1.0 - 1e-8
 
 
@@ -109,7 +114,7 @@ def test_energy_expectation_eigenstates():
 def test_energy_expectation_is_linear():
     a = sc.hermite_eigenstate(0, GRID, PAR)
     b = sc.hermite_eigenstate(1, GRID, PAR)
-    mix = sc.WaveFunction(GRID, (a.values + b.values) / np.sqrt(2.0))
+    mix = sc.WaveFunction(GRID, (a.values + b.values) / np.sqrt(2.0), 0.0)
     assert _energy_expectation(mix, PAR) == pytest.approx(1.0, abs=1e-7)
 
 
@@ -160,6 +165,137 @@ def test_equivalence_refinement_order():
     ]
     orders = np.log2(np.array(distances[:-1]) / np.array(distances[1:]))
     assert np.all(orders >= 1.8)
+
+
+# ---------------------------------------------------------------------------
+# the two routes on two threads
+# ---------------------------------------------------------------------------
+
+def _serial_equivalence(phi0, t, grid):
+    """The routes one after the other, as equivalence_report ran them before
+    route B moved to a worker thread."""
+    n_steps = sc.default_steps(grid.n_q, t, PAR.omega)
+    f0 = wg.wavefunction_to_density(phi0, grid, PAR)
+    phi_t = phi0 if t == 0.0 else sc.split_step_evolve(phi0, t, n_steps, PAR)
+    quantum = wg.wavefunction_to_density(phi_t, grid, PAR)
+    classical = ps.liouville_propagate(f0, t, PAR)
+    diff = quantum.values - classical.values
+    l2 = float(np.sqrt(np.sum(diff ** 2) * grid.dq * grid.dp))
+    return f0, phi_t, classical, l2, float(np.abs(diff).max())
+
+
+STATES = {
+    "coherent": lambda line: sc.coherent_state(line, PAR, 1.0, -0.5),
+    "eigenstate": lambda line: sc.hermite_eigenstate(2, line, PAR),
+}
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("t", [0.0, 1.234, 2.0 * np.pi])
+@pytest.mark.parametrize("state", sorted(STATES))
+def test_equivalence_equals_the_serial_routes(n, t, state):
+    grid = ps.default_grid(8.0, n)
+    phi0 = STATES[state](sc.PositionGrid(-8.0, 8.0, n))
+    report = sc.equivalence_report(phi0, t, PAR, grid)
+    f0, phi_t, classical, l2, max_distance = _serial_equivalence(phi0, t, grid)
+    assert np.array_equal(report.initial.values, f0.values)
+    assert np.array_equal(report.evolved.values, phi_t.values)
+    assert np.array_equal(report.transported.values, classical.values)
+    assert (report.l2_distance, report.max_distance) == (l2, max_distance)
+    assert report.n_steps == sc.default_steps(n, t, PAR.omega)
+
+
+class _Transform(Exception):
+    pass
+
+
+class _RouteA(Exception):
+    pass
+
+
+class _Transport(Exception):
+    pass
+
+
+def _failing(error, delay=0.0):
+    def fail(*args, **kwargs):
+        time.sleep(delay)
+        raise error("patched to fail")
+
+    return fail
+
+
+def _run_small():
+    grid = ps.default_grid(8.0, 64)
+    phi0 = sc.coherent_state(sc.PositionGrid(-8.0, 8.0, 64), PAR, 1.0)
+    return sc.equivalence_report(phi0, 1.234, PAR, grid)
+
+
+@pytest.mark.parametrize("late", ["worker", "main"])
+def test_initial_transform_error_wins_over_route_a(monkeypatch, late):
+    # serially the initial state's transform runs first, so its error is the
+    # one raised, whichever thread fails first
+    entry = threading.active_count()
+    monkeypatch.setattr(wg, "wavefunction_to_density",
+                        _failing(_Transform, 0.05 if late == "worker" else 0.0))
+    monkeypatch.setattr(sc, "split_step_evolve",
+                        _failing(_RouteA, 0.05 if late == "main" else 0.0))
+    with pytest.raises(_Transform):
+        _run_small()
+    assert threading.active_count() == entry
+
+
+@pytest.mark.parametrize("late", ["worker", "main"])
+def test_route_a_error_wins_over_the_transport(monkeypatch, late):
+    entry = threading.active_count()
+    monkeypatch.setattr(sc, "liouville_propagate",
+                        _failing(_Transport, 0.05 if late == "worker" else 0.0))
+    monkeypatch.setattr(sc, "split_step_evolve",
+                        _failing(_RouteA, 0.05 if late == "main" else 0.0))
+    with pytest.raises(_RouteA):
+        _run_small()
+    assert threading.active_count() == entry
+
+
+def test_transport_error_is_raised_after_route_a(monkeypatch):
+    entry = threading.active_count()
+    monkeypatch.setattr(sc, "liouville_propagate", _failing(_Transport))
+    with pytest.raises(_Transport):
+        _run_small()
+    assert threading.active_count() == entry
+
+
+def test_worker_is_joined_on_return():
+    entry = threading.active_count()
+    _run_small()
+    assert threading.active_count() == entry
+
+
+def test_concurrent_reports_match_the_serial_routes():
+    # more callers than cores, switching threads often: every report still
+    # equals the serial composition, so the routes share no mutable state
+    grid = ps.default_grid(8.0, 64)
+    phi0 = sc.coherent_state(sc.PositionGrid(-8.0, 8.0, 64), PAR, 1.0, 0.5)
+    expected = _serial_equivalence(phi0, 2.9, grid)
+    reports = [None] * 6
+
+    def run(i):
+        reports[i] = sc.equivalence_report(phi0, 2.9, PAR, grid)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(len(reports))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for report in reports:
+        assert np.array_equal(report.transported.values, expected[2].values)
+        assert (report.l2_distance, report.max_distance) == expected[3:]
 
 
 @pytest.mark.parametrize("extent, n, par, t", [

@@ -14,6 +14,13 @@ GRID = ps.default_grid(8.0, 256)
 LINE = sc.PositionGrid(-8.0, 8.0, 256)
 
 
+def _mirror_defect(rho):
+    """Scaled max deviation from rho(q, -dq) = conj(rho(q, dq)), over the whole slice."""
+    mirrored = np.conj(np.roll(rho.values[:, ::-1], 1, axis=1))  # column j <- column -j mod n
+    scale = float(np.abs(rho.values).max()) or 1.0
+    return float(np.abs(rho.values - mirrored).max() / scale)
+
+
 def test_forward_value_for_ground_gaussian():
     density = ps.gaussian_density(GRID, PAR)
     rho = wg.wigner_forward(density, PAR)
@@ -26,9 +33,9 @@ def test_forward_output_is_hermitian():
     rng = np.random.default_rng(21)
     raw = rng.random((64, 64))
     raw /= raw.sum() * (16.0 / 64) ** 2
-    density = ps.PhaseDensity(ps.default_grid(8.0, 64), raw)
+    density = ps.PhaseDensity(ps.default_grid(8.0, 64), raw, 0.0)
     rho = wg.wigner_forward(density, PAR)
-    assert wg.hermiticity_defect(rho) < 1e-12
+    assert _mirror_defect(rho) < 1e-12
 
 
 def test_round_trip_is_exact():
@@ -50,6 +57,21 @@ def test_inverse_rejects_non_hermitian_input():
     rho = wg.wigner_forward(density, PAR)
     broken = wg.DensitySlice(GRID, rho.values + 0.01j * np.ones_like(rho.values), 0.0, PAR.hbar)
     with pytest.raises(NonHermitianInput):
+        wg.wigner_inverse(broken)
+
+
+@pytest.mark.parametrize("size, raises", [(2e-6, True), (5e-7, False)])
+def test_inverse_checks_the_mirror_of_every_row(size, raises):
+    # the defect sits in the last row only, beyond the first block of rows
+    rho = wg.wigner_forward(ps.gaussian_density(GRID, PAR), PAR)
+    values = rho.values.copy()
+    values[-1, 3] += size * np.abs(rho.values).max()
+    broken = wg.DensitySlice(GRID, values, 0.0, PAR.hbar)
+    assert _mirror_defect(broken) == pytest.approx(size, rel=1e-3)
+    if raises:
+        with pytest.raises(NonHermitianInput):
+            wg.wigner_inverse(broken)
+    else:
         wg.wigner_inverse(broken)
 
 
@@ -103,7 +125,7 @@ def test_slice_grid_must_match_state():
 def test_slice_satisfies_invariants():
     state = sc.coherent_state(LINE, PAR, q0=0.5, p0=1.0)
     rho = wg.wavefunction_to_slice(state, GRID, PAR)
-    assert wg.hermiticity_defect(rho) <= 1e-10
+    assert _mirror_defect(rho) <= 1e-10
     # the diagonal rho(q, 0) is real and nonnegative
     scale = float(np.abs(rho.values).max())
     diag = rho.values[:, GRID.n_p // 2]
@@ -157,7 +179,7 @@ def _random_state(rng, grid=LINE):
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dq)
     spectrum = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
     values = np.fft.ifft(spectrum * np.exp(-(k / 4.0) ** 2)) * np.exp(-grid.q ** 2 / 4.0)
-    phi = sc.WaveFunction(grid, values)
+    phi = sc.WaveFunction(grid, values, 0.0)
     phi.values = phi.values / phi.norm()
     return phi
 
@@ -193,7 +215,7 @@ def test_equal_mixture_purity():
 def test_single_cell_state_is_pure():
     values = np.zeros(LINE.n, dtype=complex)
     values[100] = 1.0 / np.sqrt(LINE.dq)
-    spike = sc.WaveFunction(LINE, values)
+    spike = sc.WaveFunction(LINE, values, 0.0)
     result = wg.factorize_pure(wg.endpoint_matrix([spike]))
     assert result.purity == pytest.approx(1.0, abs=1e-10)
 
