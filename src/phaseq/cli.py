@@ -135,7 +135,7 @@ def cmd_spin(args) -> int:
     bound_dense("--n-max", args.n_max, (args.n_max + 1) ** 4)
     out = Path(args.out or "spin_spectrum.csv")
     _require_parent_dir(out)
-    dim = args.n_max + 1 if args.n_max >= 1 else 2
+    dim = args.n_max + 1
     rows = [row for row in spin_spectrum(dim, config.params) if row.sector <= args.n_max]
     with _writing(out):
         io.save_spin_csv(out, rows, config.params.hbar)

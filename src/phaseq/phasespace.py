@@ -88,7 +88,7 @@ class PhaseGrid:
         return np.meshgrid(self.q, self.p, indexing="ij")
 
 
-def default_grid(extent: float = 8.0, n: int = 256) -> PhaseGrid:
+def default_grid(extent: float, n: int) -> PhaseGrid:
     """Square grid [-extent, extent) in both coordinates."""
     return PhaseGrid(-extent, extent, -extent, extent, n, n)
 
@@ -220,7 +220,7 @@ def poisson_bracket(f, g, pt):
 # density constructors
 # ---------------------------------------------------------------------------
 
-def gaussian_density(grid: PhaseGrid, par: PhysParams, q0: float = 0.0, p0: float = 0.0) -> PhaseDensity:
+def gaussian_density(grid: PhaseGrid, par: PhysParams, q0: float, p0: float = 0.0) -> PhaseDensity:
     """Minimum-uncertainty Gaussian centred at (q0, p0), discretely normalised."""
     qm, pm = grid.meshes()
     mw = par.m * par.omega

@@ -146,9 +146,7 @@ def step_phase_bound(extent: float, n: int, par: PhysParams) -> float:
         return float(np.maximum(potential, kinetic))
 
 
-def coherent_state(
-    grid: PositionGrid, par: PhysParams, q0: float = 0.0, p0: float = 0.0
-) -> WaveFunction:
+def coherent_state(grid: PositionGrid, par: PhysParams, q0: float, p0: float) -> WaveFunction:
     """Displaced ground state: a Gaussian with linear phase, centred at (q0, p0)."""
     mw = par.m * par.omega
     q = grid.q

@@ -132,11 +132,6 @@ def _valid_block(dim: int):
     return np.ix_(valid, valid)
 
 
-def _s2(a1, c1, a2, c2, par: PhysParams) -> np.ndarray:
-    """S2 = (hbar/2)(a1+ a1 - a2+ a2), shared by two_mode_operators and spin_spectrum."""
-    return 0.5 * par.hbar * (c1 @ a1 - c2 @ a2)
-
-
 def two_mode_operators(dim: int, par: PhysParams) -> TwoModeOperators:
     """Second-quantised spin operators on two modes truncated at dim each.
 
@@ -150,7 +145,7 @@ def two_mode_operators(dim: int, par: PhysParams) -> TwoModeOperators:
     hb = par.hbar
     eye = np.eye(dim * dim, dtype=np.complex128)
     s0 = hb * (c1 @ a1 + c2 @ a2 + eye)
-    s2 = _s2(a1, c1, a2, c2, par)
+    s2 = 0.5 * hb * (c1 @ a1 - c2 @ a2)
     s1 = hb / 2j * ((c1 @ c1 - c2 @ c2) + (a1 @ a1 - a2 @ a2))
     s3 = hb / 2j * (c1 @ a2 - c2 @ a1)
     return TwoModeOperators(s0, s1, s2, s3, c1 @ a1 + c2 @ a2)
@@ -194,18 +189,19 @@ class SpinSpectrumRow:
 def spin_spectrum(dim: int, par: PhysParams) -> list[SpinSpectrumRow]:
     """Joint spectrum of the commuting pair (number, S2'), sector by sector.
 
-    The number operator is diagonal in the basis |n1, n2>, so sector N holds
-    the states n1 * dim + n2 with n1 + n2 = N, and S2' is diagonalised on
-    that block.  Sectors with N > dim - 1 lose states to the truncation and
-    are flagged.  Only S2' is built: its two dense products are all the
-    spectrum reads.
+    Sector N holds |n1, N - n1> with both occupations below dim.  S2' is
+    diagonal there, with entries (hbar/2)(<n1|a+ a|n1> - <n2|a+ a|n2>), and
+    that (N+1)-block is diagonalised; no two-mode matrix is formed.  Each
+    occupation is the product sqrt(n) sqrt(n) of two ladder elements, as in
+    the S2 of two_mode_operators, so the rows equal its spectrum bit for bit.
+    Sectors with N > dim - 1 lose states to the truncation and are flagged.
     """
-    s2 = _s2(*_mode_matrices(dim), par)
-    n1, n2 = np.divmod(np.arange(dim * dim), dim)
+    root = np.sqrt(np.arange(dim))
+    occ = root * root
     rows: list[SpinSpectrumRow] = []
     for sector in range(0, 2 * dim - 1):
-        members = np.flatnonzero(n1 + n2 == sector)
-        projections = np.linalg.eigvalsh(s2[np.ix_(members, members)])
+        n1 = np.arange(max(0, sector - dim + 1), min(sector, dim - 1) + 1)
+        projections = np.linalg.eigvalsh(np.diag(0.5 * par.hbar * (occ[n1] - occ[sector - n1])))
         casimir = par.hbar ** 2 * (sector / 2.0) * (sector / 2.0 + 1.0)
         complete = sector <= dim - 1
         for m in projections:

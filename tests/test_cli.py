@@ -145,6 +145,12 @@ def test_spin_single_row(tmp_path):
     assert len(out.read_text().splitlines()) == 2
 
 
+def test_spin_at_the_admitted_cap(tmp_path):
+    out = tmp_path / "spin.csv"
+    assert main(["spin", "--n-max", "44", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) - 1 == sum(n + 1 for n in range(45)) == 1035
+
+
 def test_spin_rejects_negative(tmp_path):
     assert main(["spin", "--n-max", "-1", "--out", str(tmp_path / "s.csv")]) == 2
 

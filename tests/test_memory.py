@@ -1,10 +1,12 @@
-"""Transient memory of the transform and transport kernels.
+"""Transient memory of the transform and transport kernels, and of the spin spectrum.
 
 The kernels work in place and in blocks of lines, so what they allocate
 beyond their result stays a fraction of one field.  Peaks are traced by
 tracemalloc, which sees every numpy array, and counted in fields: one real
 n x n array of float64.  At n = 512 the whole-array kernels these replaced
 peaked at 8.1 fields (the density of a state) and 6.3 fields (transport).
+The spin spectrum builds each sector block from ladder elements, with no
+two-mode matrix; at dim 32 the dense d^2 x d^2 construction peaked at 96 MiB.
 """
 
 import tracemalloc
@@ -14,6 +16,7 @@ import pytest
 
 from phaseq import phasespace as ps
 from phaseq import schrodinger as sc
+from phaseq import spin
 from phaseq import wigner as wg
 
 PAR = ps.NATURAL
@@ -57,3 +60,8 @@ def test_inverse_owns_a_contiguous_real_density():
     values = wg.wigner_inverse(rho).values
     assert values.dtype == np.float64 and values.flags.c_contiguous
     assert values.base is None or values.flags.owndata
+
+
+def test_spin_spectrum_builds_no_two_mode_matrix():
+    # one complex 1024 x 1024 two-mode matrix alone would take 16 MiB
+    assert _traced_peak(lambda: spin.spin_spectrum(32, PAR)) < 1 << 20

@@ -215,19 +215,19 @@ def _expectation(density, obs):
 
 def test_expectation_of_one_is_mass():
     grid = ps.default_grid(8.0, 256)
-    density = ps.gaussian_density(grid, PAR)
+    density = ps.gaussian_density(grid, PAR, q0=0.0)
     assert _expectation(density, 1.0) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_expectation_of_odd_observable_vanishes():
     grid = ps.default_grid(8.0, 256)
-    density = ps.gaussian_density(grid, PAR)
+    density = ps.gaussian_density(grid, PAR, q0=0.0)
     assert _expectation(density, lambda Q, P: Q) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_mean_energy_of_minimum_gaussian():
     # second moments of exp(-(q^2 + p^2)) give <H> = hbar*omega/2
     grid = ps.default_grid(8.0, 256)
-    density = ps.gaussian_density(grid, PAR)
+    density = ps.gaussian_density(grid, PAR, q0=0.0)
     h = lambda Q, P: 0.5 * (P ** 2 + Q ** 2)
     assert _expectation(density, h) == pytest.approx(0.5, abs=1e-5)

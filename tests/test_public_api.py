@@ -7,7 +7,8 @@ only tests call fails here unless it is listed in ``ALLOWED`` with its reason.
 Likewise every defaulted parameter of a public function or method, and every
 field of a public dataclass that has a value, must be passed, by position or
 keyword, by some call in the package: a default that no caller varies is a
-constant, unless ``ALLOWED_DEFAULTS`` gives a reason.
+constant, unless ``ALLOWED_DEFAULTS`` gives a reason.  Nor may a default be
+passed by every call of its callee in the package: then only tests rely on it.
 Matching is by name, so a method that shares its name with a reached one is
 not caught, and a call through another function of the same name counts.
 """
@@ -163,26 +164,39 @@ def defaulted_parameters(modules):
     return found
 
 
-def passed_arguments(modules):
-    """(callee name, position or keyword) for every argument a call passes;
+def calls(modules):
+    """(callee name, {(callee name, position or keyword)}) for every call;
     '*' and '**' stand for unpacked positional and keyword arguments."""
-    passed = set()
     for tree in modules.values():
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            for index, arg in enumerate(node.args):
-                passed.add((callee, "*" if isinstance(arg, ast.Starred) else index))
-            for keyword in node.keywords:
-                passed.add((callee, keyword.arg or "**"))
-    return passed
+            passed = {(callee, "*" if isinstance(arg, ast.Starred) else index)
+                      for index, arg in enumerate(node.args)}
+            passed |= {(callee, keyword.arg or "**") for keyword in node.keywords}
+            yield callee, passed
 
 
 def unvaried_defaults(modules):
-    passed = passed_arguments(modules)
+    passed = set().union(*(arguments for _, arguments in calls(modules)))
     return sorted(key for key, ways in defaulted_parameters(modules).items()
                   if not ways & passed)
+
+
+def overridden_defaults(modules):
+    """Defaulted parameters that every call of their callee's name passes,
+    provided there is at least one such call."""
+    by_callee = {}
+    for callee, passed in calls(modules):
+        by_callee.setdefault(callee, []).append(passed)
+    overridden = []
+    for key, ways in defaulted_parameters(modules).items():
+        callee = next(iter(ways))[0]  # every way names the callee
+        made = by_callee.get(callee, [])
+        if made and all(ways & passed for passed in made):
+            overridden.append(key)
+    return sorted(overridden)
 
 
 def test_every_default_is_passed_or_allowed():
@@ -194,6 +208,24 @@ def test_every_allowed_default_exists_and_is_unvaried():
     modules = _modules()
     assert sorted(set(ALLOWED_DEFAULTS) - set(defaulted_parameters(modules))) == []
     assert sorted(set(ALLOWED_DEFAULTS) - set(unvaried_defaults(modules))) == []
+
+
+def test_no_default_is_passed_by_every_call():
+    overridden = overridden_defaults(_modules())
+    assert overridden == [], f"defaults that every call in src/phaseq overrides: {overridden}"
+
+
+def test_scan_catches_a_default_every_call_overrides():
+    source = (PACKAGE / "fock.py").read_text() + (
+        "\n\ndef every_call_overrides_this(x, knob=1):\n    pass\n"
+        "\n\ndef caller():\n    every_call_overrides_this(0, 2)\n"
+        "    every_call_overrides_this(0, knob=3)\n"
+    )
+    modules = _modules()
+    modules["fock"] = ast.parse(source)
+    assert "fock.every_call_overrides_this(knob)" in overridden_defaults(modules)
+    modules["fock"] = ast.parse(source + "    every_call_overrides_this(0)\n")
+    assert "fock.every_call_overrides_this(knob)" not in overridden_defaults(modules)
 
 
 def test_scan_catches_an_unvaried_default():

@@ -71,7 +71,7 @@ def test_eigenstate_phase_advance():
 
 
 def test_coherent_state_returns_after_period():
-    state = sc.coherent_state(GRID, PAR, q0=1.0)
+    state = sc.coherent_state(GRID, PAR, q0=1.0, p0=0.0)
     evolved = sc.split_step_evolve(state, 2.0 * np.pi / PAR.omega, 2048, PAR)
     assert evolved.fidelity(state) > 1.0 - 1e-6
 
@@ -129,13 +129,13 @@ def _equivalence(n, state_builder, t):
 
 
 def test_equivalence_zero_time():
-    report = _equivalence(128, lambda line: sc.coherent_state(line, PAR, 1.0), 0.0)
+    report = _equivalence(128, lambda line: sc.coherent_state(line, PAR, 1.0, 0.0), 0.0)
     assert report.l2_distance < 1e-12
 
 
 def test_equivalence_coherent_period():
     report = _equivalence(
-        128, lambda line: sc.coherent_state(line, PAR, 1.0), 2.0 * np.pi / PAR.omega
+        128, lambda line: sc.coherent_state(line, PAR, 1.0, 0.0), 2.0 * np.pi / PAR.omega
     )
     assert report.l2_distance < 1e-3
 
@@ -160,7 +160,7 @@ def test_equivalence_eigenstate_stationary():
 def test_equivalence_refinement_order():
     period = 2.0 * np.pi / PAR.omega
     distances = [
-        _equivalence(n, lambda line: sc.coherent_state(line, PAR, 1.0), period).l2_distance
+        _equivalence(n, lambda line: sc.coherent_state(line, PAR, 1.0, 0.0), period).l2_distance
         for n in (64, 128, 256)
     ]
     orders = np.log2(np.array(distances[:-1]) / np.array(distances[1:]))
@@ -227,7 +227,7 @@ def _failing(error, delay=0.0):
 
 def _run_small():
     grid = ps.default_grid(8.0, 64)
-    phi0 = sc.coherent_state(sc.PositionGrid(-8.0, 8.0, 64), PAR, 1.0)
+    phi0 = sc.coherent_state(sc.PositionGrid(-8.0, 8.0, 64), PAR, 1.0, 0.0)
     return sc.equivalence_report(phi0, 1.234, PAR, grid)
 
 

@@ -241,8 +241,10 @@ def _spectrum_by_number_eigensolve(dim, par):
     return rows
 
 
-@pytest.mark.parametrize("par", [PAR, ps.PhysParams(2.54, 0.41, 0.28)])
-@pytest.mark.parametrize("dim", [2, 3, 8, 16])
+@pytest.mark.parametrize(
+    "par", [PAR, ps.PhysParams(2.54, 0.41, 0.28), ps.PhysParams(1.61, 1.48, 2.05)]
+)
+@pytest.mark.parametrize("dim", [2, 3, 8, 16, 24])
 def test_spectrum_rows_equal_the_number_eigensolve(dim, par):
     # equal bits, signed zeros included, so the exported CSV keeps its bytes
     def bits(rows):

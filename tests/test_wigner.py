@@ -22,7 +22,7 @@ def _mirror_defect(rho):
 
 
 def test_forward_value_for_ground_gaussian():
-    density = ps.gaussian_density(GRID, PAR)
+    density = ps.gaussian_density(GRID, PAR, q0=0.0)
     rho = wg.wigner_forward(density, PAR)
     center = rho.values[128, 128]
     assert center.real == pytest.approx(np.sqrt(1.0 / np.pi), abs=1e-6)
@@ -53,7 +53,7 @@ def test_parseval():
 
 
 def test_inverse_rejects_non_hermitian_input():
-    density = ps.gaussian_density(GRID, PAR)
+    density = ps.gaussian_density(GRID, PAR, q0=0.0)
     rho = wg.wigner_forward(density, PAR)
     broken = wg.DensitySlice(GRID, rho.values + 0.01j * np.ones_like(rho.values), 0.0, PAR.hbar)
     with pytest.raises(NonHermitianInput):
@@ -63,7 +63,7 @@ def test_inverse_rejects_non_hermitian_input():
 @pytest.mark.parametrize("size, raises", [(2e-6, True), (5e-7, False)])
 def test_inverse_checks_the_mirror_of_every_row(size, raises):
     # the defect sits in the last row only, beyond the first block of rows
-    rho = wg.wigner_forward(ps.gaussian_density(GRID, PAR), PAR)
+    rho = wg.wigner_forward(ps.gaussian_density(GRID, PAR, q0=0.0), PAR)
     values = rho.values.copy()
     values[-1, 3] += size * np.abs(rho.values).max()
     broken = wg.DensitySlice(GRID, values, 0.0, PAR.hbar)
