@@ -33,6 +33,9 @@ from .spin import spin_spectrum
 # Largest split-step count evolve will run: 25,000 periods at the 40-step floor.
 MAX_EVOLVE_STEPS = 1_000_000
 
+# Largest sector spin exports; widening the range is a decision of its own.
+MAX_N_MAX = 44
+
 
 def _load_config(path: str | None) -> SuiteConfig:
     if path is None:
@@ -119,6 +122,9 @@ def cmd_spectrum(args) -> int:
     if args.cutoff < 2:
         raise ConfigError("--cutoff must be at least 2")
     bound_dense("--cutoff", args.cutoff, args.cutoff ** 2)
+    hbar_omega = config.params.hbar * config.params.omega
+    if not math.isfinite(hbar_omega * args.cutoff):
+        raise ConfigError(f"--cutoff {args.cutoff} at hbar omega {hbar_omega:g} overflows float64")
     out = Path(args.out or "spectrum.csv")
     _require_parent_dir(out)
     spectrum = ho_spectrum(args.cutoff, config.params)
@@ -132,11 +138,19 @@ def cmd_spin(args) -> int:
     config = _load_config(args.config)
     if args.n_max < 0:
         raise ConfigError("--n-max must be nonnegative")
-    bound_dense("--n-max", args.n_max, (args.n_max + 1) ** 4)
+    if args.n_max > MAX_N_MAX:
+        raise ConfigError(f"--n-max {args.n_max} is above the largest exported sector, {MAX_N_MAX}")
+    try:
+        hbar2 = config.params.hbar ** 2
+    except OverflowError:
+        hbar2 = math.inf
+    half = args.n_max / 2.0
+    # save_spin_csv divides by hbar^2, which must be normal, the top sector's finite casimir
+    if not (hbar2 >= sys.float_info.min and math.isfinite(hbar2 * half * (half + 1.0))):
+        raise ConfigError(f"--n-max {args.n_max} at hbar {config.params.hbar:g} is outside float64")
     out = Path(args.out or "spin_spectrum.csv")
     _require_parent_dir(out)
-    dim = args.n_max + 1
-    rows = [row for row in spin_spectrum(dim, config.params) if row.sector <= args.n_max]
+    rows = spin_spectrum(args.n_max + 1, config.params)
     with _writing(out):
         io.save_spin_csv(out, rows, config.params.hbar)
     print(f"spin spectrum written to {out}")

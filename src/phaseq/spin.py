@@ -183,29 +183,26 @@ class SpinSpectrumRow:
     sector: int        # total excitation number N
     projection: float  # S2' eigenvalue m
     casimir: float     # hbar^2 (N/2)(N/2 + 1)
-    complete: bool     # truncation holds the full multiplet only for N <= dim-1
 
 
 def spin_spectrum(dim: int, par: PhysParams) -> list[SpinSpectrumRow]:
-    """Joint spectrum of the commuting pair (number, S2'), sector by sector.
+    """Joint spectrum of the commuting pair (number, S2'), sectors 0 to dim - 1.
 
-    Sector N holds |n1, N - n1> with both occupations below dim.  S2' is
-    diagonal there, with entries (hbar/2)(<n1|a+ a|n1> - <n2|a+ a|n2>), and
-    that (N+1)-block is diagonalised; no two-mode matrix is formed.  Each
+    Sector N holds |n1, N - n1> for n1 = 0..N, the full spin-N/2 multiplet.
+    S2' is diagonal there, with entries (hbar/2)(<n1|a+ a|n1> - <n2|a+ a|n2>),
+    and that (N+1)-block is diagonalised; no two-mode matrix is formed.  Each
     occupation is the product sqrt(n) sqrt(n) of two ladder elements, as in
     the S2 of two_mode_operators, so the rows equal its spectrum bit for bit.
-    Sectors with N > dim - 1 lose states to the truncation and are flagged.
     """
     root = np.sqrt(np.arange(dim))
     occ = root * root
     rows: list[SpinSpectrumRow] = []
-    for sector in range(0, 2 * dim - 1):
-        n1 = np.arange(max(0, sector - dim + 1), min(sector, dim - 1) + 1)
+    for sector in range(dim):
+        n1 = np.arange(sector + 1)
         projections = np.linalg.eigvalsh(np.diag(0.5 * par.hbar * (occ[n1] - occ[sector - n1])))
         casimir = par.hbar ** 2 * (sector / 2.0) * (sector / 2.0 + 1.0)
-        complete = sector <= dim - 1
         for m in projections:
-            rows.append(SpinSpectrumRow(sector, float(m), casimir, complete))
+            rows.append(SpinSpectrumRow(sector, float(m), casimir))
     return rows
 
 

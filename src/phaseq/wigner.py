@@ -9,7 +9,7 @@ discrete pair exactly unitary.
 
 from __future__ import annotations
 
-import logging
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -19,8 +19,6 @@ from . import _spectral
 from .errors import GridMismatch, NonHermitianInput
 from .phasespace import PhaseDensity, PhaseGrid, PhysParams
 from .schrodinger import PositionGrid, WaveFunction
-
-logger = logging.getLogger(__name__)
 
 PURITY_THRESHOLD = 0.999
 
@@ -107,9 +105,7 @@ def wigner_inverse(rho: DensitySlice) -> PhaseDensity:
         raise NonHermitianInput(f"Hermitian mirror defect {defect:.3e} exceeds 1e-6")
     residue, scale = float(residue), float(scale) or 1.0
     if residue > 1e-10 * scale:
-        logger.warning("discarding imaginary residue %.3e after inversion", residue)
-    else:
-        logger.debug("imaginary residue after inversion: %.3e", residue)
+        print(f"discarding imaginary residue {residue:.3e} after inversion", file=sys.stderr)
     return PhaseDensity(grid, density, rho.time)
 
 

@@ -153,7 +153,7 @@ def test_criterion_08_joint_spin_spectra():
         worst = 0.0
         counts_ok = True
         for sector in range(dim):
-            members = sorted(r.projection for r in rows if r.sector == sector and r.complete)
+            members = sorted(r.projection for r in rows if r.sector == sector)
             expected = [PAR.hbar * (2 * n1 - sector) / 2.0 for n1 in range(sector + 1)]
             counts_ok = counts_ok and len(members) == sector + 1
             worst = max(worst, float(np.abs(np.array(members) - np.array(expected)).max()))

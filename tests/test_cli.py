@@ -65,6 +65,18 @@ MALFORMED = [
      "overflows the split-step phase"),
     ("evolve", OVERFLOW_AT_1E154, ["--state", "eigenstate:0", "--time", "1"],
      "overflows the split-step phase"),
+    # hbar^2 overflows, underflows to 0 or is subnormal, or the top sector's s^2 overflows
+    ("spin", '{"params": {"hbar": 1e160}}', ["--n-max", "3"], "is outside float64"),
+    ("spin", '{"params": {"hbar": 1e-300}}', ["--n-max", "3"], "is outside float64"),
+    ("spin", '{"params": {"hbar": 1e-155}}', ["--n-max", "3"], "is outside float64"),
+    ("spin", '{"params": {"hbar": 2e153}}', ["--n-max", "44"], "is outside float64"),
+    ("spectrum", '{"params": {"hbar": 1e300, "omega": 1e9}}', ["--cutoff", "4"],
+     "overflows float64"),
+    ("spectrum", '{"params": {"hbar": 1e300, "omega": 1e6}}', ["--cutoff", "2048"],
+     "overflows float64"),
+    # a state wholly off the grid has norm 0
+    ("evolve", None, ["--state", "coherent:1e200,0", "--time", "1"], "has norm 0 on the grid"),
+    ("evolve", None, ["--state", "coherent:-1e200,0", "--time", "1"], "has norm 0 on the grid"),
 ]
 
 
@@ -149,6 +161,28 @@ def test_spin_at_the_admitted_cap(tmp_path):
     out = tmp_path / "spin.csv"
     assert main(["spin", "--n-max", "44", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) - 1 == sum(n + 1 for n in range(45)) == 1035
+
+
+@pytest.mark.parametrize("hbar", [1.5e-154, 5e152])
+def test_spin_at_the_admitted_hbar_range(tmp_path, hbar):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": {"hbar": hbar}}))
+    out = tmp_path / "spin.csv"
+    assert main(["spin", "--n-max", "44", "--config", str(config), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 1035
+    for row in rows:
+        half = int(row[0]) / 2.0
+        assert float(row[3]) == pytest.approx(half * (half + 1.0), rel=1e-12)
+
+
+def test_spectrum_at_the_admitted_scale(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"params": {"hbar": 1e300, "omega": 2e6}}')
+    out = tmp_path / "spectrum.csv"
+    assert main(["spectrum", "--cutoff", "64", "--config", str(config), "--out", str(out)]) == 0
+    energies = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:4]]
+    assert energies == pytest.approx([1e306, 3e306, 5e306], rel=1e-12)
 
 
 def test_spin_rejects_negative(tmp_path):

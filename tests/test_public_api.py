@@ -14,6 +14,9 @@ not caught, and a call through another function of the same name counts.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import phaseq
@@ -77,6 +80,17 @@ def referenced_names(modules):
             elif isinstance(node, ast.alias):
                 names.add(node.name)
     return names
+
+
+def test_importing_the_package_loads_no_module():
+    """Modules are reached by name, so ``import phaseq`` loads none of them."""
+    script = "import sys, phaseq; print(sorted(m for m in sys.modules if m.startswith('phaseq.')))"
+    probe = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, capture_output=True, text=True,
+        check=True,
+    )
+    assert probe.stdout.strip() == "[]"
 
 
 def test_every_public_definition_is_reached_or_allowed():

@@ -211,33 +211,31 @@ def test_sector_sizes_and_multiplicity():
     dim = 8
     rows = spin.spin_spectrum(dim, PAR)
     for sector in range(dim):
-        members = sorted(r.projection for r in rows if r.sector == sector and r.complete)
+        members = sorted(r.projection for r in rows if r.sector == sector)
         expected = [PAR.hbar * (2 * n1 - sector) / 2.0 for n1 in range(sector + 1)]
         assert len(members) == sector + 1
         assert np.abs(np.array(members) - np.array(expected)).max() < 1e-9
 
 
-def test_incomplete_sectors_flagged():
-    rows = spin.spin_spectrum(4, PAR)
-    assert all(not r.complete for r in rows if r.sector > 3)
-    assert all(r.complete for r in rows if r.sector <= 3)
+@pytest.mark.parametrize("dim", [1, 2, 4, 45])
+def test_spectrum_holds_only_the_complete_sectors(dim):
+    sectors = [r.sector for r in spin.spin_spectrum(dim, PAR)]
+    assert sectors == [sector for sector in range(dim) for _ in range(sector + 1)]
+    assert len(sectors) == sum(n + 1 for n in range(dim))
 
 
 def _spectrum_by_number_eigensolve(dim, par):
-    """Reference construction: sectors from an eigensolve of the number
-    operator, and S2' projected onto each sector's eigenvectors."""
+    """Reference construction: sectors below dim from an eigensolve of the
+    number operator, and S2' projected onto each sector's eigenvectors."""
     ops = spin.two_mode_operators(dim, par)
     numbers, vectors = np.linalg.eigh(ops.number)
     rows = []
-    for sector in range(0, 2 * dim - 1):
+    for sector in range(dim):
         members = np.where(np.abs(numbers - sector) < 1e-6)[0]
-        if members.size == 0:
-            continue
         basis = vectors[:, members]
         projections = np.linalg.eigvalsh(np.conj(basis.T) @ ops.s2 @ basis)
         casimir = par.hbar ** 2 * (sector / 2.0) * (sector / 2.0 + 1.0)
-        rows.extend(spin.SpinSpectrumRow(sector, float(m), casimir, sector <= dim - 1)
-                    for m in projections)
+        rows.extend(spin.SpinSpectrumRow(sector, float(m), casimir) for m in projections)
     return rows
 
 
@@ -248,7 +246,7 @@ def _spectrum_by_number_eigensolve(dim, par):
 def test_spectrum_rows_equal_the_number_eigensolve(dim, par):
     # equal bits, signed zeros included, so the exported CSV keeps its bytes
     def bits(rows):
-        return [(r.sector, r.projection.hex(), r.casimir.hex(), r.complete) for r in rows]
+        return [(r.sector, r.projection.hex(), r.casimir.hex()) for r in rows]
 
     assert bits(spin.spin_spectrum(dim, par)) == bits(_spectrum_by_number_eigensolve(dim, par))
 

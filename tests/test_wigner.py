@@ -75,6 +75,18 @@ def test_inverse_checks_the_mirror_of_every_row(size, raises):
         wg.wigner_inverse(broken)
 
 
+def test_inverse_reports_a_discarded_imaginary_residue(capsys):
+    # a uniform imaginary offset keeps the mirror defect at 2e-8, under the gate
+    grid = ps.default_grid(8.0, 64)
+    line = sc.PositionGrid(grid.q_min, grid.q_max, grid.n_q)
+    rho = wg.wavefunction_to_slice(sc.coherent_state(line, PAR, 0.0, 0.0), grid, PAR)
+    wg.wigner_inverse(rho)
+    assert capsys.readouterr().err == ""
+    offset = 1e-8j * np.abs(rho.values).max()
+    wg.wigner_inverse(wg.DensitySlice(grid, rho.values + offset, rho.time, rho.hbar))
+    assert capsys.readouterr().err == "discarding imaginary residue 2.257e-08 after inversion\n"
+
+
 def test_inverse_of_first_excited_slice():
     # oracle: trapezoid quadrature of the inversion integral at the origin.
     # rho(0, d) = -psi1(d/2)^2 for the (odd, real) first excited state, so
