@@ -19,8 +19,8 @@ from pathlib import Path
 from . import io, report
 from .errors import ConfigError, PhaseqError
 from .fock import ho_spectrum
-from .phasespace import default_grid
-from .report import SuiteConfig, bound_dense
+from .phasespace import PhaseGrid, default_grid
+from .report import SuiteConfig, bound_truncation
 from .schrodinger import (
     PositionGrid,
     coherent_state,
@@ -97,14 +97,20 @@ def _fork_writer(path: Path, write) -> int:
         os._exit(code)
 
 
+def _write_report(path: Path, payload: dict, args) -> None:
+    """Write a JSON report, stamped with the UTC time unless --no-timestamp."""
+    if not args.no_timestamp:
+        payload["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    io._write_json(path, payload)
+
+
 def cmd_verify(args) -> int:
     config = _load_config(args.config)
     out = Path(args.out or "verify_report.json")
     _require_parent_dir(out)
     entries = report.run_suite(config)
-    payload = report.report_payload(entries, config, timestamp=not args.no_timestamp)
     with _writing(out):
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_report(out, report.report_payload(entries, config), args)
     for entry in entries:
         gate = "-" if entry.threshold is None else f"{entry.threshold:.0e}"
         print(
@@ -119,9 +125,7 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     config = _load_config(args.config)
-    if args.cutoff < 2:
-        raise ConfigError("--cutoff must be at least 2")
-    bound_dense("--cutoff", args.cutoff, args.cutoff ** 2)
+    bound_truncation("--cutoff", args.cutoff)
     hbar_omega = config.params.hbar * config.params.omega
     if not math.isfinite(hbar_omega * args.cutoff):
         raise ConfigError(f"--cutoff {args.cutoff} at hbar omega {hbar_omega:g} overflows float64")
@@ -157,14 +161,19 @@ def cmd_spin(args) -> int:
     return 0
 
 
-def _parse_state(spec: str, grid: PositionGrid, config: SuiteConfig):
+def _parse_state(spec: str, grid: PhaseGrid, config: SuiteConfig):
+    line = PositionGrid(grid.q_min, grid.q_max, grid.n_q)
     kind, _, argument = spec.partition(":")
     try:
         if kind == "eigenstate":
-            return hermite_eigenstate(int(argument), grid, config.params)
+            return hermite_eigenstate(int(argument), line, config.params)
         if kind == "coherent":
             q0_text, p0_text = argument.split(",")
-            return coherent_state(grid, config.params, float(q0_text), float(p0_text))
+            q0, p0 = float(q0_text), float(p0_text)
+            if abs(p0) >= grid.p_max:  # the transforms would alias it into the window
+                raise ValueError(f"momentum {p0:g} is outside the grid's momentum window "
+                                 f"({grid.p_min:g}, {grid.p_max:g})")
+            return coherent_state(line, config.params, q0, p0)
     except (ValueError, PhaseqError) as exc:
         raise ConfigError(f"invalid state specification {spec!r}: {exc}") from exc
     raise ConfigError(f"invalid state specification {spec!r} (use eigenstate:n or coherent:q0,p0)")
@@ -184,8 +193,7 @@ def cmd_evolve(args) -> int:
             f"--time {args.time} needs {n_steps:.3g} split steps, "
             f"above the limit {MAX_EVOLVE_STEPS}"
         )
-    line = PositionGrid(grid.q_min, grid.q_max, grid.n_q)
-    state = _parse_state(args.state, line, config)
+    state = _parse_state(args.state, grid, config)
     out_dir = Path(args.out or "evolve_out")
     if out_dir.exists() and not out_dir.is_dir():
         raise ConfigError(f"cannot write {out_dir}: it exists and is not a directory")
@@ -199,8 +207,6 @@ def cmd_evolve(args) -> int:
         "l2_distance": comparison.l2_distance,
         "max_distance": comparison.max_distance,
     }
-    if not args.no_timestamp:
-        payload["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -213,9 +219,7 @@ def cmd_evolve(args) -> int:
             io.save_wavefunction(state, out_dir / "wavefunction_t0")
             io.save_wavefunction(comparison.evolved, out_dir / "wavefunction_t1")
             io.save_phase_density(comparison.transported, out_dir / "density_t1")
-            (out_dir / "equivalence.json").write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            )
+            _write_report(out_dir / "equivalence.json", payload, args)
     finally:
         _, status = os.waitpid(pid, 0)
     code = os.waitstatus_to_exitcode(status)

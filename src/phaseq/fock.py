@@ -20,22 +20,24 @@ from .phasespace import NATURAL, PhysParams
 MAX_DEGREE = 128
 
 
+def ladder_elements(dim: int) -> np.ndarray:
+    """<n-1|a|n> = sqrt(n) for n < dim, the ladder elements a truncation at dim holds."""
+    return np.sqrt(np.arange(dim))
+
+
 def ladder_matrices(dim: int):
-    """Annihilation, creation, and number matrices truncated at dim."""
+    """Annihilation and creation matrices truncated at dim."""
     if dim < 2:
         raise ValueError("truncation must be at least 2")
-    a = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(1, dim):
-        a[n - 1, n] = math.sqrt(n)
-    adag = a.conj().T
-    return a, adag, adag @ a
+    a = np.diag(ladder_elements(dim)[1:].astype(np.complex128), 1)
+    return a, a.conj().T
 
 
 def number_state(n: int, dim: int) -> np.ndarray:
     """(creation)^n applied to the vacuum; component sqrt(n!) at index n."""
     if not 0 <= n < dim:
         raise OutOfTruncation(f"excitation {n} does not fit in truncation {dim}")
-    _, adag, _ = ladder_matrices(dim)
+    _, adag = ladder_matrices(dim)
     vec = np.zeros(dim, dtype=np.complex128)
     vec[0] = 1.0
     for _ in range(n):
@@ -50,20 +52,18 @@ class SpectrumResult:
 
 
 def ho_spectrum(dim: int, par: PhysParams) -> SpectrumResult:
-    """Eigenvalues of hbar*omega*(N + P/2) sorted ascending.
+    """Eigenvalues of hbar*omega*(N + P/2), read off its diagonal in ascending order.
 
-    P projects onto excitations below the truncation edge, which detaches the
-    single corrupted corner eigenvalue cleanly above the trusted band; the
-    last sorted entry is the truncation artifact.
+    N = a+ a is diagonal in the number basis, with entries sqrt(n) sqrt(n) from
+    the ladder elements.  P projects onto excitations below the truncation
+    edge, which detaches the single corrupted corner eigenvalue cleanly above
+    the trusted band; the last entry is the truncation artifact, so P is also
+    the trusted mask.
     """
-    _, _, n_op = ladder_matrices(dim)
-    below_edge = np.eye(dim)
-    below_edge[-1, -1] = 0.0
-    h = par.hbar * par.omega * (n_op + 0.5 * below_edge)
-    energies = np.linalg.eigvalsh(h)
-    trusted = np.ones(dim, dtype=bool)
-    trusted[-1] = False
-    return SpectrumResult(energies, trusted)
+    root = ladder_elements(dim)
+    below_edge = np.arange(dim) < dim - 1
+    energies = par.hbar * par.omega * (root * root + 0.5 * below_edge)
+    return SpectrumResult(energies, trusted=below_edge)
 
 
 # ---------------------------------------------------------------------------

@@ -214,10 +214,6 @@ def _write_csv(path: Path, table: np.ndarray, header: str | None = None) -> None
             out.write(slots.tobytes().translate(None, b"\0"))
 
 
-def _sidecar_path(stem: Path) -> Path:
-    return stem.with_suffix(".json")
-
-
 def _grid_header(grid: PhaseGrid, time: float) -> dict:
     return {
         "q_min": grid.q_min,
@@ -238,14 +234,14 @@ def save_phase_density(density: PhaseDensity, stem) -> tuple[Path, Path]:
     stem = Path(stem)
     csv_path = stem.with_suffix(".csv")
     _write_csv(csv_path, density.values)
-    json_path = _sidecar_path(stem)
+    json_path = stem.with_suffix(".json")
     _write_json(json_path, _grid_header(density.grid, density.time))
     return csv_path, json_path
 
 
 def load_phase_density(stem) -> PhaseDensity:
     stem = Path(stem)
-    meta = json.loads(_sidecar_path(stem).read_text())
+    meta = json.loads(stem.with_suffix(".json").read_text())
     grid = PhaseGrid(
         meta["q_min"], meta["q_max"], meta["p_min"], meta["p_max"],
         int(meta["n_q"]), int(meta["n_p"]),
@@ -259,7 +255,7 @@ def save_wavefunction(phi: WaveFunction, stem) -> tuple[Path, Path]:
     csv_path = stem.with_suffix(".csv")
     table = np.column_stack([phi.grid.q, phi.values.real, phi.values.imag])
     _write_csv(csv_path, table, header="q,re,im")
-    json_path = _sidecar_path(stem)
+    json_path = stem.with_suffix(".json")
     _write_json(
         json_path,
         {"q_min": phi.grid.q_min, "q_max": phi.grid.q_max, "n": phi.grid.n, "time": phi.time},
@@ -269,7 +265,7 @@ def save_wavefunction(phi: WaveFunction, stem) -> tuple[Path, Path]:
 
 def load_wavefunction(stem) -> WaveFunction:
     stem = Path(stem)
-    meta = json.loads(_sidecar_path(stem).read_text())
+    meta = json.loads(stem.with_suffix(".json").read_text())
     grid = PositionGrid(meta["q_min"], meta["q_max"], int(meta["n"]))
     table = np.loadtxt(stem.with_suffix(".csv"), delimiter=",", skiprows=1)
     return WaveFunction(grid, table[:, 1] + 1j * table[:, 2], meta["time"])

@@ -109,11 +109,15 @@ def _masked_ratio(numerator: np.ndarray, squared_amplitude: np.ndarray, mask: np
     return out
 
 
+def _current(pair: MadelungPair, par: PhysParams) -> np.ndarray:
+    """imag(conj(phi) dphi/dq) of the recomposed field, the current in units of hbar/m."""
+    phi = compose(pair, par).values
+    return np.imag(np.conj(phi) * _spectral.derivative(phi, pair.grid.length))
+
+
 def phase_gradient(pair: MadelungPair, par: PhysParams) -> np.ndarray:
     """dS/dq from the recomposed field; zero on sub-cutoff cells."""
-    phi = compose(pair, par).values
-    dphi = _spectral.derivative(phi, pair.grid.length)
-    current = par.hbar * np.imag(np.conj(phi) * dphi)
+    current = par.hbar * _current(pair, par)
     return _masked_ratio(current, pair.amplitude ** 2, pair.valid_mask())
 
 
@@ -141,14 +145,9 @@ def continuity_residual(
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     grid = pair_t0.grid
-
-    def current(pair):
-        phi = compose(pair, par).values
-        dphi = _spectral.derivative(phi, grid.length)
-        return par.hbar / par.m * np.imag(np.conj(phi) * dphi)
-
     density_rate = (pair_t1.amplitude ** 2 - pair_t0.amplitude ** 2) / dt
-    flux = 0.5 * (current(pair_t0) + current(pair_t1))
+    flux = 0.5 * (par.hbar / par.m * _current(pair_t0, par)
+                  + par.hbar / par.m * _current(pair_t1, par))
     divergence = np.real(_spectral.derivative(flux, grid.length))
     mask = pair_t0.valid_mask() & pair_t1.valid_mask()
     return ResidualField(grid, density_rate + divergence, mask)

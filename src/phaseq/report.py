@@ -24,7 +24,6 @@ run at their fixed reference resolutions regardless of the configuration.
 
 from __future__ import annotations
 
-import datetime
 import functools
 import math
 import sys
@@ -45,21 +44,22 @@ REPORTED = "reported"
 LITERAL = "paper-literal"
 REPAIRED = "repaired"
 
-# Largest single dense complex array (16 B per element) a size input may
-# imply.  It admits grids and truncations up to 2048.
+# Largest single dense complex array (16 B per element) a grid may imply: the
+# n x n slice of the transforms.  It admits grids up to 2048.
 MAX_DENSE_BYTES = 64 * 2 ** 20
+
+# Largest truncation of the suite and the spectrum export.  Their spectra are
+# read off ladder elements, so this states a range; it prices no memory.
+MAX_TRUNCATION = 2048
 
 # Truncation of each mode of the two-mode spin operators the spin entries share.
 SPIN_DIM = 8
 
 
-def bound_dense(what: str, value: int, elements: int) -> None:
-    """Refuse a size input before allocation when its largest dense array exceeds the cap."""
-    if 16 * elements > MAX_DENSE_BYTES:
-        raise ConfigError(
-            f"{what} {value} needs a dense complex array above the "
-            f"{MAX_DENSE_BYTES >> 20} MiB limit"
-        )
+def bound_truncation(what: str, value: int) -> None:
+    """Refuse a truncation outside the stated range before any work."""
+    if not 2 <= value <= MAX_TRUNCATION:
+        raise ConfigError(f"{what} {value} is outside the admitted truncations 2..{MAX_TRUNCATION}")
 
 
 def _object(value, what: str, known: set[str]) -> dict:
@@ -115,10 +115,12 @@ class SuiteConfig:
                 f"grid extent {extent:g} at n {points} overflows the split-step phase "
                 f"for m {params.m:g}, omega {params.omega:g}, hbar {params.hbar:g}"
             )
-        bound_dense("grid point count", points, points ** 2)
-        if truncation < 2:
-            raise ConfigError("truncation must be at least 2")
-        bound_dense("truncation", truncation, truncation ** 2)
+        if 16 * points ** 2 > MAX_DENSE_BYTES:
+            raise ConfigError(
+                f"grid point count {points} needs a dense complex array above the "
+                f"{MAX_DENSE_BYTES >> 20} MiB limit"
+            )
+        bound_truncation("truncation", truncation)
         if seed < 0:
             raise ConfigError("seed must be nonnegative")
         return SuiteConfig(params, extent, points, truncation, seed)
@@ -563,9 +565,9 @@ def _check_transformed_schrodinger_literal(ctx: _Context):
 def _check_operator_equation(ctx: _Context):
     par = ctx.par
     dim = 16
-    a, adag, n_op = fock.ladder_matrices(dim)
+    a, adag = fock.ladder_matrices(dim)
     commutator = a @ adag - adag @ a
-    h = par.hbar * par.omega * (n_op + 0.5 * commutator)
+    h = par.hbar * par.omega * (adag @ a + 0.5 * commutator)
     poly = fock.BargmannPoly([0.6, 1.0, 0.0, 0.4j])
     t0 = 0.7 / par.omega
     step = 1e-4 / par.omega
@@ -1009,12 +1011,9 @@ def suite_passed(entries: list[ReportEntry]) -> bool:
     return all(entry.status != FAIL for entry in entries)
 
 
-def report_payload(entries, config: SuiteConfig, timestamp: bool) -> dict:
-    payload = {
+def report_payload(entries, config: SuiteConfig) -> dict:
+    return {
         "config": config.as_dict(),
         "entries": [entry.as_dict() for entry in entries],
         "passed": suite_passed(entries),
     }
-    if timestamp:
-        payload["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return payload

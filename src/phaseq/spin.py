@@ -112,7 +112,7 @@ class TwoModeOperators:
 
 
 def _mode_matrices(dim: int):
-    a, adag, _ = fock.ladder_matrices(dim)
+    a, adag = fock.ladder_matrices(dim)
     eye = np.eye(dim, dtype=np.complex128)
     return (
         np.kron(a, eye),
@@ -189,17 +189,18 @@ def spin_spectrum(dim: int, par: PhysParams) -> list[SpinSpectrumRow]:
     """Joint spectrum of the commuting pair (number, S2'), sectors 0 to dim - 1.
 
     Sector N holds |n1, N - n1> for n1 = 0..N, the full spin-N/2 multiplet.
-    S2' is diagonal there, with entries (hbar/2)(<n1|a+ a|n1> - <n2|a+ a|n2>),
-    and that (N+1)-block is diagonalised; no two-mode matrix is formed.  Each
-    occupation is the product sqrt(n) sqrt(n) of two ladder elements, as in
-    the S2 of two_mode_operators, so the rows equal its spectrum bit for bit.
+    S2' is diagonal there, with entries (hbar/2)(<n1|a+ a|n1> - <n2|a+ a|n2>)
+    that ascend in n1, so they are its eigenvalues in order; no matrix is
+    formed.  Each occupation is the product sqrt(n) sqrt(n) of two ladder
+    elements, as in the S2 of two_mode_operators, so the rows equal its
+    spectrum bit for bit.
     """
-    root = np.sqrt(np.arange(dim))
+    root = fock.ladder_elements(dim)
     occ = root * root
     rows: list[SpinSpectrumRow] = []
     for sector in range(dim):
         n1 = np.arange(sector + 1)
-        projections = np.linalg.eigvalsh(np.diag(0.5 * par.hbar * (occ[n1] - occ[sector - n1])))
+        projections = 0.5 * par.hbar * (occ[n1] - occ[sector - n1])
         casimir = par.hbar ** 2 * (sector / 2.0) * (sector / 2.0 + 1.0)
         for m in projections:
             rows.append(SpinSpectrumRow(sector, float(m), casimir))

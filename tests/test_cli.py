@@ -38,6 +38,11 @@ def test_bad_config_content_exits_2(tmp_path, capsys):
 # m w^2 q^2 overflows in the evolver's potential phase, though q^2 alone does not.
 OVERFLOW_AT_1E154 = '{"grid": {"extent": 1e154}, "params": {"m": 4, "omega": 4, "hbar": 0.25}}'
 
+# Momenta outside this grid's window (-8, 8): the phase grid aliases them, even
+# p0 = 12, which the line's Nyquist momentum 12.57 would still hold.
+EVOLVE_64 = '{"grid": {"extent": 8, "n": 64}}'
+WINDOW_8 = "outside the grid's momentum window (-8, 8)"
+
 # Each case exits 2 at parse time, before any field is allocated.
 MALFORMED = [
     ("verify", '{"params": [1]}', [], "params must be a JSON object"),
@@ -57,7 +62,7 @@ MALFORMED = [
     ("verify", '{"truncation": 100000}', [], "truncation 100000"),
     ("evolve", '{"grid": {"n": 4096}}', ["--state", "eigenstate:0", "--time", "1"], "MiB limit"),
     ("spectrum", None, ["--cutoff", "2049"], "--cutoff 2049"),
-    ("spectrum", None, ["--cutoff", "100000"], "MiB limit"),
+    ("spectrum", None, ["--cutoff", "100000"], "outside the admitted truncations 2..2048"),
     ("spin", None, ["--n-max", "45"], "--n-max 45"),
     ("verify", '{"grid": {"extent": 1e200}}', [], "overflows the split-step phase"),
     ("verify", OVERFLOW_AT_1E154, [], "overflows the split-step phase"),
@@ -77,6 +82,11 @@ MALFORMED = [
     # a state wholly off the grid has norm 0
     ("evolve", None, ["--state", "coherent:1e200,0", "--time", "1"], "has norm 0 on the grid"),
     ("evolve", None, ["--state", "coherent:-1e200,0", "--time", "1"], "has norm 0 on the grid"),
+    # a momentum outside the grid's window aliases in the transforms
+    ("evolve", EVOLVE_64, ["--state", "coherent:0,40", "--time", "1"], WINDOW_8),
+    ("evolve", EVOLVE_64, ["--state", "coherent:0,1e300", "--time", "1"], WINDOW_8),
+    ("evolve", EVOLVE_64, ["--state", "coherent:0,12", "--time", "1"], WINDOW_8),
+    ("evolve", EVOLVE_64, ["--state", "coherent:0,-8", "--time", "1"], WINDOW_8),
 ]
 
 
@@ -161,6 +171,15 @@ def test_spin_at_the_admitted_cap(tmp_path):
     out = tmp_path / "spin.csv"
     assert main(["spin", "--n-max", "44", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) - 1 == sum(n + 1 for n in range(45)) == 1035
+
+
+def test_spectrum_at_the_admitted_cutoff(tmp_path):
+    out = tmp_path / "spectrum.csv"
+    assert main(["spectrum", "--cutoff", "2048", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 2048
+    assert [row[2] for row in rows[-2:]] == ["1", "0"]
+    assert [float(row[1]) for row in rows[-2:]] == pytest.approx([2046.5, 2047.0], rel=1e-15)
 
 
 @pytest.mark.parametrize("hbar", [1.5e-154, 5e152])

@@ -18,7 +18,7 @@ PAR = ps.NATURAL
 # ---------------------------------------------------------------------------
 
 def test_creation_on_vacuum():
-    _, adag, _ = fock.ladder_matrices(8)
+    _, adag = fock.ladder_matrices(8)
     vacuum = np.zeros(8)
     vacuum[0] = 1.0
     raised = adag @ vacuum
@@ -29,7 +29,7 @@ def test_creation_on_vacuum():
 
 def test_commutator_and_corner():
     dim = 12
-    a, adag, _ = fock.ladder_matrices(dim)
+    a, adag = fock.ladder_matrices(dim)
     commutator = a @ adag - adag @ a
     body = commutator[: dim - 1, : dim - 1]
     assert np.abs(body - np.eye(dim - 1)).max() < 1e-12
@@ -39,8 +39,15 @@ def test_commutator_and_corner():
 
 
 def test_number_operator_diagonal():
-    _, _, n_op = fock.ladder_matrices(9)
-    assert np.abs(n_op - np.diag(np.arange(9.0))).max() < 1e-12
+    a, adag = fock.ladder_matrices(9)
+    assert np.abs(adag @ a - np.diag(np.arange(9.0))).max() < 1e-12
+
+
+def test_ladder_matrices_hold_the_ladder_elements():
+    a, adag = fock.ladder_matrices(6)
+    assert np.array_equal(np.diag(a, 1), fock.ladder_elements(6)[1:])
+    assert np.array_equal(adag, a.conj().T)
+    assert np.array_equal(a, np.diag(np.diag(a, 1), 1))
 
 
 def test_number_state_components():
@@ -91,6 +98,24 @@ def test_artifact_is_last_entry():
     assert not spectrum.trusted[-1]
 
 
+def _spectrum_by_eigensolve(dim, par):
+    """Reference construction: eigvalsh of the dense hbar*omega*(a+ a + P/2)."""
+    a, adag = fock.ladder_matrices(dim)
+    below_edge = np.eye(dim)
+    below_edge[-1, -1] = 0.0
+    return np.linalg.eigvalsh(par.hbar * par.omega * (adag @ a + 0.5 * below_edge))
+
+
+@pytest.mark.parametrize(
+    "par", [PAR, ps.PhysParams(2.54, 0.41, 0.28), ps.PhysParams(1.61, 1.48, 2.05)]
+)
+@pytest.mark.parametrize("dim", [2, 3, 16, 64, 256])
+def test_spectrum_equals_the_dense_eigensolve(dim, par):
+    # equal bits, so the exported CSV keeps its bytes
+    energies = fock.ho_spectrum(dim, par).energies
+    assert [e.hex() for e in energies] == [e.hex() for e in _spectrum_by_eigensolve(dim, par)]
+
+
 # ---------------------------------------------------------------------------
 # polynomial picture
 # ---------------------------------------------------------------------------
@@ -138,8 +163,8 @@ def test_evolution_zero_time_identity():
 def test_evolution_matches_matrix_exponential():
     # independent oracle: expm of the truncated generator at dim 32
     dim = 32
-    _, _, n_op = fock.ladder_matrices(dim)
-    h = PAR.hbar * PAR.omega * (n_op + 0.5 * np.eye(dim))
+    a, adag = fock.ladder_matrices(dim)
+    h = PAR.hbar * PAR.omega * (adag @ a + 0.5 * np.eye(dim))
     t = 1.3
     propagator = expm(-1j * h * t / PAR.hbar)
     poly = fock.BargmannPoly([0.4, 1.0, 0.0, 0.3j, 0.1])
@@ -150,7 +175,7 @@ def test_evolution_matches_matrix_exponential():
 
 def test_pictures_are_isomorphic():
     dim = 16
-    a, adag, _ = fock.ladder_matrices(dim)
+    a, adag = fock.ladder_matrices(dim)
     actions = {
         "create": adag,
         "annihilate": a,

@@ -5,8 +5,10 @@ beyond their result stays a fraction of one field.  Peaks are traced by
 tracemalloc, which sees every numpy array, and counted in fields: one real
 n x n array of float64.  At n = 512 the whole-array kernels these replaced
 peaked at 8.1 fields (the density of a state) and 6.3 fields (transport).
-The spin spectrum builds each sector block from ladder elements, with no
-two-mode matrix; at dim 32 the dense d^2 x d^2 construction peaked at 96 MiB.
+The spin spectrum and the oscillator spectrum are read off ladder elements,
+with no matrix; at dim 32 the dense d^2 x d^2 spin construction peaked at
+96 MiB, and at truncation 2048 the dense oscillator Hamiltonian alone takes
+64 MiB.
 """
 
 import tracemalloc
@@ -14,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from phaseq import fock
 from phaseq import phasespace as ps
 from phaseq import schrodinger as sc
 from phaseq import spin
@@ -65,3 +68,8 @@ def test_inverse_owns_a_contiguous_real_density():
 def test_spin_spectrum_builds_no_two_mode_matrix():
     # one complex 1024 x 1024 two-mode matrix alone would take 16 MiB
     assert _traced_peak(lambda: spin.spin_spectrum(32, PAR)) < 1 << 20
+
+
+def test_oscillator_spectrum_builds_no_matrix():
+    # one complex 2048 x 2048 matrix alone would take 64 MiB
+    assert _traced_peak(lambda: fock.ho_spectrum(2048, PAR)) < 1 << 20
