@@ -21,13 +21,7 @@ from .errors import ConfigError, PhaseqError
 from .fock import ho_spectrum
 from .phasespace import PhaseGrid, default_grid
 from .report import SuiteConfig, bound_truncation
-from .schrodinger import (
-    PositionGrid,
-    coherent_state,
-    default_steps,
-    equivalence_report,
-    hermite_eigenstate,
-)
+from .schrodinger import coherent_state, default_steps, equivalence_report, hermite_eigenstate
 from .spin import spin_spectrum
 
 # Largest split-step count evolve will run: 25,000 periods at the 40-step floor.
@@ -41,11 +35,11 @@ def _load_config(path: str | None) -> SuiteConfig:
     if path is None:
         return SuiteConfig()
     file = Path(path)
-    if not file.is_file():
-        raise ConfigError(f"configuration file not found: {path}")
     try:
+        if not file.is_file():
+            raise ConfigError(f"configuration file not found: {path}")
         data = json.loads(file.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8 or not JSON
         raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
     return SuiteConfig.from_mapping(data)
 
@@ -60,11 +54,13 @@ def _writing(path: Path):
 
 
 def _require_parent_dir(path: Path) -> None:
-    """Fail before the work when ``path`` is a directory or its own directory is missing."""
-    if path.is_dir():
-        raise ConfigError(f"cannot write {path}: it is a directory")
-    if not path.parent.is_dir():
-        raise ConfigError(f"cannot write {path}: {path.parent} is not a directory")
+    """Fail before the work when ``path`` is a directory, its own directory is
+    missing, or the file system refuses the name."""
+    with _writing(path):
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        if not path.parent.is_dir():
+            raise ConfigError(f"cannot write {path}: {path.parent} is not a directory")
 
 
 def _fork_writer(path: Path, write) -> int:
@@ -162,18 +158,17 @@ def cmd_spin(args) -> int:
 
 
 def _parse_state(spec: str, grid: PhaseGrid, config: SuiteConfig):
-    line = PositionGrid(grid.q_min, grid.q_max, grid.n_q)
     kind, _, argument = spec.partition(":")
     try:
         if kind == "eigenstate":
-            return hermite_eigenstate(int(argument), line, config.params)
+            return hermite_eigenstate(int(argument), grid.line, config.params)
         if kind == "coherent":
             q0_text, p0_text = argument.split(",")
             q0, p0 = float(q0_text), float(p0_text)
             if abs(p0) >= grid.p_max:  # the transforms would alias it into the window
                 raise ValueError(f"momentum {p0:g} is outside the grid's momentum window "
                                  f"({grid.p_min:g}, {grid.p_max:g})")
-            return coherent_state(line, config.params, q0, p0)
+            return coherent_state(grid.line, config.params, q0, p0)
     except (ValueError, PhaseqError) as exc:
         raise ConfigError(f"invalid state specification {spec!r}: {exc}") from exc
     raise ConfigError(f"invalid state specification {spec!r} (use eigenstate:n or coherent:q0,p0)")
@@ -195,8 +190,9 @@ def cmd_evolve(args) -> int:
         )
     state = _parse_state(args.state, grid, config)
     out_dir = Path(args.out or "evolve_out")
-    if out_dir.exists() and not out_dir.is_dir():
-        raise ConfigError(f"cannot write {out_dir}: it exists and is not a directory")
+    with _writing(out_dir):
+        if out_dir.exists() and not out_dir.is_dir():
+            raise ConfigError(f"cannot write {out_dir}: it exists and is not a directory")
     comparison = equivalence_report(state, args.time, config.params, grid)
 
     payload = {

@@ -1,8 +1,8 @@
 """CSV/JSON serialisation of fields and spectra.
 
 Matrix fields go to plain CSV (rows follow the q index ascending, columns
-the second index ascending) with a JSON sidecar carrying the grid and time;
-1D fields go to column CSV with the same sidecar convention.
+the second index ascending) and 1D fields to column CSV, each with a JSON
+sidecar holding its grid's fields and the time.
 
 Every CSV cell is written as ``'%.17g' % value``, which round-trips each
 float64.  ``_write_csv`` computes those bytes with numpy array arithmetic
@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import functools
 import json
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from .fock import SpectrumResult
-from .phasespace import PhaseDensity, PhaseGrid
-from .schrodinger import PositionGrid, WaveFunction
+from .phasespace import PhaseDensity, PhaseGrid, PositionGrid
+from .schrodinger import WaveFunction
 from .spin import SpinSpectrumRow
 
 # Cells formatted and written at a time, 8 rows of a 1024-column density.
@@ -214,18 +215,6 @@ def _write_csv(path: Path, table: np.ndarray, header: str | None = None) -> None
             out.write(slots.tobytes().translate(None, b"\0"))
 
 
-def _grid_header(grid: PhaseGrid, time: float) -> dict:
-    return {
-        "q_min": grid.q_min,
-        "q_max": grid.q_max,
-        "p_min": grid.p_min,
-        "p_max": grid.p_max,
-        "n_q": grid.n_q,
-        "n_p": grid.n_p,
-        "time": time,
-    }
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -235,7 +224,7 @@ def save_phase_density(density: PhaseDensity, stem) -> tuple[Path, Path]:
     csv_path = stem.with_suffix(".csv")
     _write_csv(csv_path, density.values)
     json_path = stem.with_suffix(".json")
-    _write_json(json_path, _grid_header(density.grid, density.time))
+    _write_json(json_path, {**asdict(density.grid), "time": density.time})
     return csv_path, json_path
 
 
@@ -256,10 +245,7 @@ def save_wavefunction(phi: WaveFunction, stem) -> tuple[Path, Path]:
     table = np.column_stack([phi.grid.q, phi.values.real, phi.values.imag])
     _write_csv(csv_path, table, header="q,re,im")
     json_path = stem.with_suffix(".json")
-    _write_json(
-        json_path,
-        {"q_min": phi.grid.q_min, "q_max": phi.grid.q_max, "n": phi.grid.n, "time": phi.time},
-    )
+    _write_json(json_path, {**asdict(phi.grid), "time": phi.time})
     return csv_path, json_path
 
 

@@ -27,8 +27,8 @@ import numpy as np
 from . import _spectral
 from .errors import AllZero, GridMismatch
 from .fock import BargmannPoly
-from .phasespace import PhysParams
-from .schrodinger import PositionGrid, WaveFunction
+from .phasespace import PhysParams, PositionGrid
+from .schrodinger import WaveFunction
 
 NODE_EPSILON_FACTOR = 1e-3
 

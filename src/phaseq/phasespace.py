@@ -1,7 +1,11 @@
 """Phase-space grids, the classical oscillator flow, and Liouville transport.
 
-Densities live on rectangular (q, p) grids with power-of-two point counts so
-the transform modules can run exact discrete Fourier pairs on the same data.
+Both grids live here, with power-of-two point counts so the transform
+modules can run exact discrete Fourier pairs on the same data.  Densities
+live on a rectangular (q, p) PhaseGrid and states on a 1D PositionGrid; a
+state pairs with the densities of the phase grid whose q axis it samples,
+``PhaseGrid.line``.
+
 For the oscillator, Liouville transport is a rigid rotation of (q, p/m w).
 Propagation factors that rotation into shears, and each shear translates
 every grid line by a Fourier phase ramp: there is no time-stepping error,
@@ -52,6 +56,33 @@ def _is_power_of_two(n) -> bool:
 
 
 @dataclass(frozen=True)
+class PositionGrid:
+    """Uniform 1D grid over [q_min, q_max) with a power-of-two point count."""
+
+    q_min: float
+    q_max: float
+    n: int
+
+    def __post_init__(self):
+        if not _is_power_of_two(self.n):
+            raise ValueError("n must be a power of two (spectral transforms)")
+        if not self.q_max > self.q_min:
+            raise ValueError("grid extent must be strictly ordered")
+
+    @property
+    def dq(self) -> float:
+        return (self.q_max - self.q_min) / self.n
+
+    @property
+    def length(self) -> float:
+        return self.q_max - self.q_min
+
+    @property
+    def q(self) -> np.ndarray:
+        return self.q_min + self.dq * np.arange(self.n)
+
+
+@dataclass(frozen=True)
 class PhaseGrid:
     """Uniform rectangular grid over [q_min, q_max) x [p_min, p_max)."""
 
@@ -83,6 +114,11 @@ class PhaseGrid:
     @property
     def p(self) -> np.ndarray:
         return self.p_min + self.dp * np.arange(self.n_p)
+
+    @property
+    def line(self) -> PositionGrid:
+        """The q axis as a PositionGrid, the grid of the states paired with this grid."""
+        return PositionGrid(self.q_min, self.q_max, self.n_q)
 
     def meshes(self):
         return np.meshgrid(self.q, self.p, indexing="ij")

@@ -158,7 +158,7 @@ class _Context:
         self.rng = np.random.default_rng(config.seed)
         # fixed 256^2 grid for entries with grid-pinned tolerances
         self.reference_grid = phasespace.default_grid(8.0, 256)
-        self.line_grid = schrodinger.PositionGrid(-10.0, 10.0, 512)
+        self.line_grid = phasespace.PositionGrid(-10.0, 10.0, 512)
 
     @functools.cached_property
     def spin_ops(self) -> spin.TwoModeOperators:
@@ -259,9 +259,8 @@ def _check_transform_pair(ctx: _Context):
 def _coherent_on_grid(ctx: _Context, t: float):
     par = ctx.par
     grid = ctx.reference_grid
-    line = schrodinger.PositionGrid(grid.q_min, grid.q_max, grid.n_q)
     center = phasespace.hamilton_flow(PhasePoint(1.0, 0.0), t, par)
-    state = schrodinger.coherent_state(line, par, center.q, center.p)
+    state = schrodinger.coherent_state(grid.line, par, center.q, center.p)
     return wigner.wavefunction_to_slice(state, grid, par)
 
 
@@ -277,9 +276,8 @@ def _check_slice_equation(ctx: _Context):
     behind = _coherent_on_grid(ctx, t0 - dt)
     here = _coherent_on_grid(ctx, t0)
     rho_t = (ahead.values - behind.values) / (2.0 * dt)
-    length_q = grid.q_max - grid.q_min
     length_d = here.delta_step * grid.n_p
-    mixed = spectral_derivative(spectral_derivative(here.values.T, length_q).T, length_d)
+    mixed = spectral_derivative(spectral_derivative(here.values.T, grid.line.length).T, length_d)
     qs = grid.q[:, None]
     ds = here.delta[None, :]
     residual_field = (
@@ -295,8 +293,7 @@ def _check_slice_equation(ctx: _Context):
 def _check_product_form(ctx: _Context):
     par = ctx.par
     grid = ctx.reference_grid
-    line = schrodinger.PositionGrid(grid.q_min, grid.q_max, grid.n_q)
-    state = schrodinger.hermite_eigenstate(0, line, par)
+    state = schrodinger.hermite_eigenstate(0, grid.line, par)
     rho = wigner.wavefunction_to_slice(state, grid, par)
     mw = par.m * par.omega
     qs = grid.q[:, None]
@@ -332,8 +329,7 @@ def _check_polar_split(ctx: _Context):
 def _check_first_order_structure(ctx: _Context):
     par = ctx.par
     grid = ctx.reference_grid
-    line = schrodinger.PositionGrid(grid.q_min, grid.q_max, grid.n_q)
-    state = schrodinger.coherent_state(line, par, 1.0, 0.7)
+    state = schrodinger.coherent_state(grid.line, par, 1.0, 0.7)
     rho = wigner.wavefunction_to_slice(state, grid, par)
     length_d = rho.delta_step * grid.n_p
     d_offset = spectral_derivative(rho.values, length_d)[:, grid.n_p // 2]
@@ -388,8 +384,7 @@ def _check_equivalence(ctx: _Context):
     par = ctx.par
     config = ctx.config
     grid = phasespace.default_grid(config.grid_extent, config.grid_points)
-    line = schrodinger.PositionGrid(grid.q_min, grid.q_max, grid.n_q)
-    state = schrodinger.coherent_state(line, par, 1.0, 0.0)
+    state = schrodinger.coherent_state(grid.line, par, 1.0, 0.0)
     period = 2.0 * np.pi / par.omega
     report = schrodinger.equivalence_report(state, period, par, grid)
     return report.l2_distance, (

@@ -2,7 +2,8 @@
 
 The evolver is Strang-split with a spectral kinetic factor, so the norm is
 preserved to roundoff and the global error is O(dt^2).  Eigenstates come
-from the stable three-term recurrence for Hermite functions.
+from the stable three-term recurrence for Hermite functions.  States live on
+``phasespace.PositionGrid``, the line grid that sits beside the phase grid.
 """
 
 from __future__ import annotations
@@ -16,41 +17,13 @@ import numpy as np
 
 from . import _spectral
 from .errors import BoundaryLeak, DomainError, GridMismatch, GridTooNarrow, NormDrift
-from .phasespace import PhaseDensity, PhaseGrid, PhysParams, liouville_propagate
-from .phasespace import _is_power_of_two
+from .phasespace import PhaseDensity, PhaseGrid, PhysParams, PositionGrid, liouville_propagate
 
 # Edge-to-peak guard used by constructors and the evolver.  The 64-point
 # reference configuration puts a legitimate coherent state at edge ratio
 # 1.3e-10, so the guard leaves two decades of headroom above 1e-10.
 BOUNDARY_GUARD = 1e-8
 NORM_DRIFT_LIMIT = 1e-8
-
-
-@dataclass(frozen=True)
-class PositionGrid:
-    """Uniform 1D grid over [q_min, q_max) with a power-of-two point count."""
-
-    q_min: float
-    q_max: float
-    n: int
-
-    def __post_init__(self):
-        if not _is_power_of_two(self.n):
-            raise ValueError("n must be a power of two (spectral transforms)")
-        if not self.q_max > self.q_min:
-            raise ValueError("grid extent must be strictly ordered")
-
-    @property
-    def dq(self) -> float:
-        return (self.q_max - self.q_min) / self.n
-
-    @property
-    def length(self) -> float:
-        return self.q_max - self.q_min
-
-    @property
-    def q(self) -> np.ndarray:
-        return self.q_min + self.dq * np.arange(self.n)
 
 
 @dataclass

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import _spectral
 from .errors import GridMismatch, NonHermitianInput
-from .phasespace import PhaseDensity, PhaseGrid, PhysParams
-from .schrodinger import PositionGrid, WaveFunction
+from .phasespace import PhaseDensity, PhaseGrid, PhysParams, PositionGrid
+from .schrodinger import WaveFunction
 
 PURITY_THRESHOLD = 0.999
 
@@ -122,7 +122,7 @@ def wavefunction_to_slice(
     translates.  The columns are built in such mirrored pairs, BLOCK pairs at
     a time, so each translate is made once and no table of them is held.
     """
-    if (grid.n_q, grid.q_min, grid.q_max) != (phi.grid.n, phi.grid.q_min, phi.grid.q_max):
+    if phi.grid != grid.line:
         raise GridMismatch("phase grid q axis must match the wavefunction grid")
     n = grid.n_p
     half = n // 2

@@ -13,12 +13,7 @@ import phaseq
 from phaseq import cli, io, report
 from phaseq.cli import main
 from phaseq.phasespace import NATURAL, default_grid
-from phaseq.schrodinger import (
-    PositionGrid,
-    coherent_state,
-    equivalence_report,
-    hermite_eigenstate,
-)
+from phaseq.schrodinger import coherent_state, equivalence_report, hermite_eigenstate
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -87,6 +82,9 @@ MALFORMED = [
     ("evolve", EVOLVE_64, ["--state", "coherent:0,1e300", "--time", "1"], WINDOW_8),
     ("evolve", EVOLVE_64, ["--state", "coherent:0,12", "--time", "1"], WINDOW_8),
     ("evolve", EVOLVE_64, ["--state", "coherent:0,-8", "--time", "1"], WINDOW_8),
+    # files that are not UTF-8 text, or nest too deep for the JSON decoder
+    pytest.param("verify", b"\xff\xfe{}", [], "cannot read configuration", id="not-utf8"),
+    pytest.param("verify", "[" * 100_000, [], "cannot read configuration", id="nested-1e5-deep"),
 ]
 
 
@@ -96,7 +94,10 @@ def test_malformed_or_oversize_input_exits_2(tmp_path, capsys, command, config, 
     argv = [command, *extra, "--out", str(out)]
     if config is not None:
         path = tmp_path / "config.json"
-        path.write_text(config)
+        if isinstance(config, bytes):
+            path.write_bytes(config)
+        else:
+            path.write_text(config)
         argv += ["--config", str(path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -344,6 +345,8 @@ def _evolve_argv(tmp_path, state="eigenstate:0", time="1.0"):
             "--config", str(_small_config(tmp_path)), "--no-timestamp"]
 
 
+LONG_NAME = "x" * 300  # above the 255-byte limit of a file name
+
 # Each --out cannot be written: (command, --out, what to create first, path
 # the error line names).  A trailing "/" creates a directory, anything else
 # an empty file.  The "run" case makes the forked density_t0 writer fail.
@@ -356,6 +359,9 @@ BAD_OUT = [
     (["verify"], "a_dir", "a_dir/", "a_dir"),
     (["spectrum", "--cutoff", "4"], "a_dir", "a_dir/", "a_dir"),
     (["spin", "--n-max", "2"], "a_dir", "a_dir/", "a_dir"),
+    *(pytest.param(command, LONG_NAME, None, LONG_NAME, id=f"{command[0]}-long-name")
+      for command in (["verify"], ["spectrum", "--cutoff", "4"], ["spin", "--n-max", "2"],
+                      ["evolve"])),
 ]
 
 
@@ -383,6 +389,19 @@ def test_unwritable_output_exits_2(tmp_path, capfd, monkeypatch, command, out, e
     assert f"error: cannot write {tmp_path / named}" in captured.err
     assert "Traceback" not in captured.err
     assert "written" not in captured.out
+
+
+@pytest.mark.parametrize("command", [
+    ["verify"], ["spectrum", "--cutoff", "4"], ["spin", "--n-max", "2"],
+    ["evolve", "--state", "eigenstate:0", "--time", "1"],
+], ids=["verify", "spectrum", "spin", "evolve"])
+def test_over_long_config_name_exits_2(tmp_path, capfd, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--config", LONG_NAME]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith(f"error: cannot read configuration {LONG_NAME}")
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_evolve_reaps_writer_when_own_write_fails(tmp_path, capfd, forks):
@@ -420,8 +439,7 @@ def test_evolve_files_match_sequential_writes(tmp_path, forks, state, time, buil
     _assert_reaped(forks)
 
     grid = default_grid(8.0, 64)
-    line = PositionGrid(grid.q_min, grid.q_max, grid.n_q)
-    phi = build(line)
+    phi = build(grid.line)
     comparison = equivalence_report(phi, time, NATURAL, grid)
     expected = tmp_path / "expected"
     expected.mkdir()

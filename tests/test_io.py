@@ -29,7 +29,7 @@ def test_phase_density_round_trip(tmp_path):
 
 
 def test_wavefunction_round_trip(tmp_path):
-    grid = sc.PositionGrid(-8.0, 8.0, 64)
+    grid = ps.PositionGrid(-8.0, 8.0, 64)
     state = sc.coherent_state(grid, PAR, q0=0.5, p0=1.0)
     io.save_wavefunction(state, tmp_path / "state")
     loaded = io.load_wavefunction(tmp_path / "state")
@@ -37,6 +37,8 @@ def test_wavefunction_round_trip(tmp_path):
     assert np.array_equal(loaded.values, state.values)
     header = (tmp_path / "state.csv").read_text().splitlines()[0]
     assert header == "q,re,im"
+    meta = json.loads((tmp_path / "state.json").read_text())
+    assert set(meta) == {"q_min", "q_max", "n", "time"}
 
 
 def test_spectrum_csv_contract(tmp_path):
@@ -139,7 +141,7 @@ def test_phase_density_bytes_match_savetxt(tmp_path, par):
 
 @pytest.mark.parametrize("par", [PAR, ODD], ids=["natural", "odd"])
 def test_wavefunction_bytes_match_savetxt(tmp_path, par):
-    grid = sc.PositionGrid(-8.0, 8.0, 64)
+    grid = ps.PositionGrid(-8.0, 8.0, 64)
     state = sc.coherent_state(grid, par, q0=0.5, p0=1.0)
     csv_path, _ = io.save_wavefunction(state, tmp_path / "state")
     table = np.column_stack([grid.q, state.values.real, state.values.imag])

@@ -10,7 +10,7 @@ from phaseq import schrodinger as sc
 from phaseq.errors import AllZero, GridMismatch
 
 PAR = ps.NATURAL
-GRID = sc.PositionGrid(-10.0, 10.0, 512)
+GRID = ps.PositionGrid(-10.0, 10.0, 512)
 
 
 def _masked_max(res):
@@ -99,14 +99,14 @@ def test_coherent_state_continuity():
 
 
 def test_uniform_fields_give_zero():
-    ring = sc.PositionGrid(0.0, 2.0 * np.pi, 128)
+    ring = ps.PositionGrid(0.0, 2.0 * np.pi, 128)
     pair = md.MadelungPair(ring, np.ones(128), np.zeros(128))
     res = md.continuity_residual(pair, pair, 0.1, PAR)
     assert _masked_max(res) == 0.0
 
 
 def test_grid_mismatch_rejected():
-    other = sc.PositionGrid(-8.0, 8.0, 256)
+    other = ps.PositionGrid(-8.0, 8.0, 256)
     a = md.decompose(sc.hermite_eigenstate(0, GRID, PAR), PAR)
     b = md.decompose(sc.hermite_eigenstate(0, other, PAR), PAR)
     with pytest.raises(GridMismatch):

@@ -75,6 +75,26 @@ def test_grid_requires_ordered_extents():
         ps.PhaseGrid(8.0, -8.0, -8.0, 8.0, 128, 128)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((-8.0, 8.0, 100), "n must be a power of two"),
+    ((-8.0, 8.0, 1), "n must be a power of two"),
+    ((8.0, -8.0, 64), "grid extent must be strictly ordered"),
+    ((8.0, 8.0, 64), "grid extent must be strictly ordered"),
+])
+def test_position_grid_validation(args, message):
+    with pytest.raises(ValueError, match=message):
+        ps.PositionGrid(*args)
+
+
+def test_line_is_the_q_axis():
+    grid = ps.PhaseGrid(-8.0, 6.0, -3.0, 3.0, 64, 128)
+    line = grid.line
+    assert line == ps.PositionGrid(-8.0, 6.0, 64)
+    assert line.dq == grid.dq
+    assert line.length == grid.q_max - grid.q_min
+    assert np.array_equal(line.q, grid.q)
+
+
 def test_density_shape_checked():
     grid = ps.default_grid(8.0, 64)
     with pytest.raises(ValueError):

@@ -11,6 +11,8 @@ constant, unless ``ALLOWED_DEFAULTS`` gives a reason.  Nor may a default be
 passed by every call of its callee in the package: then only tests rely on it.
 Matching is by name, so a method that shares its name with a reached one is
 not caught, and a call through another function of the same name counts.
+Finally, no module imports a private name from another: a rule that several
+modules need belongs behind a public name in one of them.
 """
 
 import ast
@@ -268,3 +270,43 @@ def test_scan_catches_an_unvaried_field():
         modules["fock"] = varied
         assert "fock.OnlyATestVariesThis(knob)" not in unvaried_defaults(modules)
 
+
+def private_imports(modules):
+    """'module: from x import _y' for every private name a module imports from
+    another module of the package.
+
+    Private modules themselves (``from . import _spectral``) may be imported,
+    and so may the public names they define.  Attribute access to a private
+    name, such as ``spin._mode_matrices``, is not an import and is out of
+    scope here.
+    """
+    found = []
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.module is None:
+                continue
+            if not (node.level or node.module.startswith(f"{PACKAGE.name}.")):
+                continue  # from the package itself (its modules) or from outside it
+            source = "." * node.level + node.module
+            found += [f"{module}: from {source} import {alias.name}"
+                      for alias in node.names if not _public(alias.name)]
+    return found
+
+
+def test_no_module_imports_a_private_name():
+    private = private_imports(_modules())
+    assert private == [], f"private names imported across modules: {private}"
+
+
+def test_scan_catches_a_private_import():
+    source = (PACKAGE / "fock.py").read_text()
+    modules = _modules()
+    for line in ("from .phasespace import _is_power_of_two",
+                 "from phaseq.phasespace import NATURAL, _is_power_of_two"):
+        modules["fock"] = ast.parse(f"{line}\n{source}")
+        assert [found for found in private_imports(modules) if found.startswith("fock:")] == [
+            f"fock: from {line.split()[1]} import _is_power_of_two"]
+    for line in ("from . import _spectral", "from phaseq import _spectral",
+                 "from ._spectral import wavenumbers"):
+        modules["fock"] = ast.parse(f"{line}\n{source}")
+        assert not [found for found in private_imports(modules) if found.startswith("fock:")]

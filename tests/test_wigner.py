@@ -11,7 +11,7 @@ from phaseq.errors import GridMismatch, NonHermitianInput
 
 PAR = ps.NATURAL
 GRID = ps.default_grid(8.0, 256)
-LINE = sc.PositionGrid(-8.0, 8.0, 256)
+LINE = GRID.line
 
 
 def _mirror_defect(rho):
@@ -78,8 +78,7 @@ def test_inverse_checks_the_mirror_of_every_row(size, raises):
 def test_inverse_reports_a_discarded_imaginary_residue(capsys):
     # a uniform imaginary offset keeps the mirror defect at 2e-8, under the gate
     grid = ps.default_grid(8.0, 64)
-    line = sc.PositionGrid(grid.q_min, grid.q_max, grid.n_q)
-    rho = wg.wavefunction_to_slice(sc.coherent_state(line, PAR, 0.0, 0.0), grid, PAR)
+    rho = wg.wavefunction_to_slice(sc.coherent_state(grid.line, PAR, 0.0, 0.0), grid, PAR)
     wg.wigner_inverse(rho)
     assert capsys.readouterr().err == ""
     offset = 1e-8j * np.abs(rho.values).max()
@@ -129,9 +128,17 @@ def test_slice_diagonal_is_probability_density():
 
 
 def test_slice_grid_must_match_state():
-    state = sc.hermite_eigenstate(0, sc.PositionGrid(-10.0, 10.0, 512), PAR)
-    with pytest.raises(GridMismatch):
-        wg.wavefunction_to_slice(state, GRID, PAR)
+    # the state must sample GRID's own q axis: a difference in any one field is refused
+    state = sc.hermite_eigenstate(0, GRID.line, PAR)
+    assert wg.wavefunction_to_slice(state, GRID, PAR).values.shape == (256, 256)
+    for field, line in [("q_min", ps.PositionGrid(-7.5, 8.0, 256)),
+                        ("q_max", ps.PositionGrid(-8.0, 7.5, 256)),
+                        ("n", ps.PositionGrid(-8.0, 8.0, 128)),
+                        ("all three", ps.PositionGrid(-10.0, 10.0, 512))]:
+        state = sc.hermite_eigenstate(0, line, PAR)
+        with pytest.raises(GridMismatch, match="phase grid q axis must match"):
+            wg.wavefunction_to_slice(state, GRID, PAR)
+            pytest.fail(f"a state differing in {field} was accepted")
 
 
 def test_slice_satisfies_invariants():
@@ -146,7 +153,7 @@ def test_slice_satisfies_invariants():
 
 
 def test_shift_past_an_edge_does_not_wrap():
-    line = sc.PositionGrid(-8.0, 8.0, 256)
+    line = ps.PositionGrid(-8.0, 8.0, 256)
     packet = np.exp(-8.0 * (line.q - 5.0) ** 2)
     moved = _spectral.shifted(packet, line.length, [-6.0, 2.0])
     # the packet at q = 5 lands at 11, beyond the top edge; a periodic
@@ -176,7 +183,7 @@ def _two_call_slice(phi, grid, par):
 @pytest.mark.parametrize("par", [PAR, ps.PhysParams(2.54, 0.41, 0.28)])
 def test_slice_matches_two_call_construction_bit_for_bit(n, par):
     grid = ps.default_grid(8.0, n)
-    line = sc.PositionGrid(-8.0, 8.0, n)
+    line = ps.PositionGrid(-8.0, 8.0, n)
     for state in (sc.coherent_state(line, par, q0=1.0, p0=0.5),
                   sc.hermite_eigenstate(3, line, par)):
         rho = wg.wavefunction_to_slice(state, grid, par)
