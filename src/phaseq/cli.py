@@ -19,7 +19,7 @@ from pathlib import Path
 from . import io, report
 from .errors import ConfigError, PhaseqError
 from .fock import ho_spectrum
-from .phasespace import PhaseGrid, default_grid
+from .phasespace import PhaseGrid
 from .report import SuiteConfig, bound_truncation
 from .schrodinger import coherent_state, default_steps, equivalence_report, hermite_eigenstate
 from .spin import spin_spectrum
@@ -97,7 +97,7 @@ def _write_report(path: Path, payload: dict, args) -> None:
     """Write a JSON report, stamped with the UTC time unless --no-timestamp."""
     if not args.no_timestamp:
         payload["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    io._write_json(path, payload)
+    io.write_json(path, payload)
 
 
 def cmd_verify(args) -> int:
@@ -178,7 +178,7 @@ def cmd_evolve(args) -> int:
     if not math.isfinite(args.time):
         raise ConfigError(f"--time must be finite, got {args.time}")
     config = _load_config(args.config)
-    grid = default_grid(config.grid_extent, config.grid_points)
+    grid = config.grid()
     try:
         n_steps = default_steps(grid.n_q, args.time, config.params.omega)
     except OverflowError:  # omega * time beyond the float range

@@ -1,10 +1,12 @@
 """Truncated ladder matrices, the holomorphic polynomial picture, and spectra.
 
-The polynomial (holomorphic) picture uses the consistent convention in which
-creation multiplies by the complex coordinate and annihilation differentiates
-with respect to it, giving a unit commutator.  The written convention carries
-a factor -i*hbar on the derivative; its commutator and evolution rate are
-computed by the report helpers here but never asserted.
+Spectra are formed from the integer levels n of the number operator, not from
+products of the ladder elements sqrt(n).  The polynomial (holomorphic) picture
+uses the consistent convention in which creation multiplies by the complex
+coordinate and annihilation differentiates with respect to it, giving a unit
+commutator.  The written convention carries a factor -i*hbar on the
+derivative; its commutator and evolution rate are computed by the report
+helpers here but never asserted.
 """
 
 from __future__ import annotations
@@ -20,16 +22,11 @@ from .phasespace import NATURAL, PhysParams
 MAX_DEGREE = 128
 
 
-def ladder_elements(dim: int) -> np.ndarray:
-    """<n-1|a|n> = sqrt(n) for n < dim, the ladder elements a truncation at dim holds."""
-    return np.sqrt(np.arange(dim))
-
-
 def ladder_matrices(dim: int):
     """Annihilation and creation matrices truncated at dim."""
     if dim < 2:
         raise ValueError("truncation must be at least 2")
-    a = np.diag(ladder_elements(dim)[1:].astype(np.complex128), 1)
+    a = np.diag(np.sqrt(np.arange(1, dim)).astype(np.complex128), 1)
     return a, a.conj().T
 
 
@@ -54,15 +51,14 @@ class SpectrumResult:
 def ho_spectrum(dim: int, par: PhysParams) -> SpectrumResult:
     """Eigenvalues of hbar*omega*(N + P/2), read off its diagonal in ascending order.
 
-    N = a+ a is diagonal in the number basis, with entries sqrt(n) sqrt(n) from
-    the ladder elements.  P projects onto excitations below the truncation
-    edge, which detaches the single corrupted corner eigenvalue cleanly above
-    the trusted band; the last entry is the truncation artifact, so P is also
-    the trusted mask.
+    N = a+ a is diagonal in the number basis, with the integer entries n.  P
+    projects onto excitations below the truncation edge, which detaches the
+    single corrupted corner eigenvalue cleanly above the trusted band; the last
+    entry is the truncation artifact, so P is also the trusted mask.
     """
-    root = ladder_elements(dim)
-    below_edge = np.arange(dim) < dim - 1
-    energies = par.hbar * par.omega * (root * root + 0.5 * below_edge)
+    n = np.arange(dim)
+    below_edge = n < dim - 1
+    energies = par.hbar * par.omega * (n + 0.5 * below_edge)
     return SpectrumResult(energies, trusted=below_edge)
 
 

@@ -215,7 +215,7 @@ def _write_csv(path: Path, table: np.ndarray, header: str | None = None) -> None
             out.write(slots.tobytes().translate(None, b"\0"))
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -224,7 +224,7 @@ def save_phase_density(density: PhaseDensity, stem) -> tuple[Path, Path]:
     csv_path = stem.with_suffix(".csv")
     _write_csv(csv_path, density.values)
     json_path = stem.with_suffix(".json")
-    _write_json(json_path, {**asdict(density.grid), "time": density.time})
+    write_json(json_path, {**asdict(density.grid), "time": density.time})
     return csv_path, json_path
 
 
@@ -245,7 +245,7 @@ def save_wavefunction(phi: WaveFunction, stem) -> tuple[Path, Path]:
     table = np.column_stack([phi.grid.q, phi.values.real, phi.values.imag])
     _write_csv(csv_path, table, header="q,re,im")
     json_path = stem.with_suffix(".json")
-    _write_json(json_path, {**asdict(phi.grid), "time": phi.time})
+    write_json(json_path, {**asdict(phi.grid), "time": phi.time})
     return csv_path, json_path
 
 

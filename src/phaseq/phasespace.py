@@ -129,6 +129,17 @@ def default_grid(extent: float, n: int) -> PhaseGrid:
     return PhaseGrid(-extent, extent, -extent, extent, n, n)
 
 
+def field_values(values, dtype, shape: tuple, what: str) -> np.ndarray:
+    """The samples of a field on a grid as a dtype array, admitted only when
+    they have the grid's shape and are all finite."""
+    values = np.asarray(values, dtype=dtype)
+    if values.shape != shape:
+        raise ValueError(f"values shape {values.shape} does not match grid {shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite")
+    return values
+
+
 @dataclass
 class PhaseDensity:
     """Real distribution F(q, p) sampled on a PhaseGrid.
@@ -143,14 +154,9 @@ class PhaseDensity:
     time: float
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.grid.n_q, self.grid.n_p):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid "
-                f"({self.grid.n_q}, {self.grid.n_p})"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("density values must be finite")
+        self.values = field_values(
+            self.values, np.float64, (self.grid.n_q, self.grid.n_p), "density values"
+        )
 
     def mass(self) -> float:
         inner = np.trapezoid(self.values, dx=self.grid.dp, axis=1)

@@ -49,7 +49,7 @@ REPAIRED = "repaired"
 MAX_DENSE_BYTES = 64 * 2 ** 20
 
 # Largest truncation of the suite and the spectrum export.  Their spectra are
-# read off ladder elements, so this states a range; it prices no memory.
+# the integer levels, so this states a range; it prices no memory.
 MAX_TRUNCATION = 2048
 
 # Truncation of each mode of the two-mode spin operators the spin entries share.
@@ -110,11 +110,6 @@ class SuiteConfig:
             raise ConfigError("grid extent must be positive")
         if points < 4 or points & (points - 1):
             raise ConfigError("grid point count must be a power of two >= 4")
-        if not schrodinger.step_phase_bound(extent, points, params) <= schrodinger.PHASE_LIMIT:
-            raise ConfigError(
-                f"grid extent {extent:g} at n {points} overflows the split-step phase "
-                f"for m {params.m:g}, omega {params.omega:g}, hbar {params.hbar:g}"
-            )
         if 16 * points ** 2 > MAX_DENSE_BYTES:
             raise ConfigError(
                 f"grid point count {points} needs a dense complex array above the "
@@ -124,6 +119,18 @@ class SuiteConfig:
         if seed < 0:
             raise ConfigError("seed must be nonnegative")
         return SuiteConfig(params, extent, points, truncation, seed)
+
+    def grid(self) -> phasespace.PhaseGrid:
+        """The configured phase grid, refused where the split-step phase overflows.
+
+        Only verify and evolve build the grid, so only they make this check."""
+        extent, points, par = self.grid_extent, self.grid_points, self.params
+        if not schrodinger.step_phase_bound(extent, points, par) <= schrodinger.PHASE_LIMIT:
+            raise ConfigError(
+                f"grid extent {extent:g} at n {points} overflows the split-step phase "
+                f"for m {par.m:g}, omega {par.omega:g}, hbar {par.hbar:g}"
+            )
+        return phasespace.default_grid(extent, points)
 
     def as_dict(self) -> dict:
         return {
@@ -153,6 +160,7 @@ class _Context:
     """Shared fixtures; the spin operators are built on first use only."""
 
     def __init__(self, config: SuiteConfig):
+        self.grid = config.grid()  # refuses the config before any check runs
         self.config = config
         self.par = config.params
         self.rng = np.random.default_rng(config.seed)
@@ -382,13 +390,12 @@ def _check_quantum_hj(ctx: _Context):
 @_check("Eq.12", 1e-3, "schrodinger.equivalence_report")
 def _check_equivalence(ctx: _Context):
     par = ctx.par
-    config = ctx.config
-    grid = phasespace.default_grid(config.grid_extent, config.grid_points)
+    grid = ctx.grid
     state = schrodinger.coherent_state(grid.line, par, 1.0, 0.0)
     period = 2.0 * np.pi / par.omega
     report = schrodinger.equivalence_report(state, period, par, grid)
     return report.l2_distance, (
-        f"L2 distance between transport routes at {config.grid_points}^2, "
+        f"L2 distance between transport routes at {grid.n_q}^2, "
         f"{report.n_steps} steps; max distance {report.max_distance:.3e}"
     )
 
@@ -920,9 +927,9 @@ def _check_quantized_pair(ctx: _Context):
         convention=REPAIRED)
 def _check_two_mode_commutators(ctx: _Context):
     dim = SPIN_DIM
-    a1, c1, a2, c2 = spin._mode_matrices(dim)
+    a1, c1, a2, c2 = spin.mode_matrices(dim)
     eye = np.eye(dim * dim)
-    block = spin._valid_block(dim)
+    block = spin.valid_block(dim)
     residual = float(np.abs((a1 @ c1 - c1 @ a1 - eye)[block]).max())
     residual = max(residual, float(np.abs((a2 @ c2 - c2 @ a2 - eye)[block]).max()))
     return max(residual, float(np.abs(a1 @ c2 - c2 @ a1).max()))
@@ -961,7 +968,7 @@ def _check_joint_spectrum(ctx: _Context):
     rows = spin.spin_spectrum(dim, par)
     residual = 0.0
     for sector in range(0, dim):
-        got = sorted(r.projection for r in rows if r.sector == sector)
+        got = [r.projection for r in rows if r.sector == sector]
         expected = [par.hbar * (2 * n1 - sector) / 2.0 for n1 in range(sector + 1)]
         if len(got) != len(expected):
             residual = math.inf

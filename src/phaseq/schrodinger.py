@@ -17,7 +17,8 @@ import numpy as np
 
 from . import _spectral
 from .errors import BoundaryLeak, DomainError, GridMismatch, GridTooNarrow, NormDrift
-from .phasespace import PhaseDensity, PhaseGrid, PhysParams, PositionGrid, liouville_propagate
+from .phasespace import (PhaseDensity, PhaseGrid, PhysParams, PositionGrid, field_values,
+                         liouville_propagate)
 
 # Edge-to-peak guard used by constructors and the evolver.  The 64-point
 # reference configuration puts a legitimate coherent state at edge ratio
@@ -33,13 +34,9 @@ class WaveFunction:
     time: float
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (self.grid.n,):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid ({self.grid.n},)"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("wavefunction values must be finite")
+        self.values = field_values(
+            self.values, np.complex128, (self.grid.n,), "wavefunction values"
+        )
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.dq))

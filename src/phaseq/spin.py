@@ -5,7 +5,7 @@ The four quadratic functions close under Poisson brackets with structure
 S1^2 + S2^2 + S3^2 = S0^2 / 4, and quantise through the per-axis normal-mode
 map into two coupled ladder modes.  Joint spectra of the commuting pair
 (number, S2') realise integral and half-integral multiplets: total number N
-carries spin N/2.
+carries spin N/2, with projections hbar (n1 - n2) / 2 from integer occupations.
 
 One written transformed function does not survive scrutiny: the same-mode
 squares form of the first spin component evaluates to a pure imaginary for
@@ -111,7 +111,8 @@ class TwoModeOperators:
     number: np.ndarray
 
 
-def _mode_matrices(dim: int):
+def mode_matrices(dim: int):
+    """Annihilation and creation on each of two modes: (a1, a1+, a2, a2+)."""
     a, adag = fock.ladder_matrices(dim)
     eye = np.eye(dim, dtype=np.complex128)
     return (
@@ -122,7 +123,7 @@ def _mode_matrices(dim: int):
     )
 
 
-def _valid_block(dim: int):
+def valid_block(dim: int):
     """Rows and columns of the states whose occupations both stay below dim - 1.
 
     Only there do the truncated ladder matrices obey the untruncated algebra.
@@ -141,7 +142,7 @@ def two_mode_operators(dim: int, par: PhysParams) -> TwoModeOperators:
     ordering ambiguity arises in either).  s1, like its classical written
     form, is anti-Hermitian; its algebra is reported, not asserted.
     """
-    a1, c1, a2, c2 = _mode_matrices(dim)
+    a1, c1, a2, c2 = mode_matrices(dim)
     hb = par.hbar
     eye = np.eye(dim * dim, dtype=np.complex128)
     s0 = hb * (c1 @ a1 + c2 @ a2 + eye)
@@ -161,9 +162,9 @@ def su2_closure_defects(dim: int, par: PhysParams) -> tuple[float, float]:
     cross set does.
     """
     ops = two_mode_operators(dim, par)
-    a1, c1, a2, c2 = _mode_matrices(dim)
+    a1, c1, a2, c2 = mode_matrices(dim)
     cross = par.hbar / 2.0 * (c1 @ a2 + c2 @ a1)
-    block = _valid_block(dim)
+    block = valid_block(dim)
 
     def defect(first):
         triple = (first, ops.s2, ops.s3)
@@ -189,18 +190,14 @@ def spin_spectrum(dim: int, par: PhysParams) -> list[SpinSpectrumRow]:
     """Joint spectrum of the commuting pair (number, S2'), sectors 0 to dim - 1.
 
     Sector N holds |n1, N - n1> for n1 = 0..N, the full spin-N/2 multiplet.
-    S2' is diagonal there, with entries (hbar/2)(<n1|a+ a|n1> - <n2|a+ a|n2>)
-    that ascend in n1, so they are its eigenvalues in order; no matrix is
-    formed.  Each occupation is the product sqrt(n) sqrt(n) of two ladder
-    elements, as in the S2 of two_mode_operators, so the rows equal its
-    spectrum bit for bit.
+    S2' is diagonal there, with entries (hbar/2)(n1 - n2) from the integer
+    occupations, which ascend in n1, so they are its eigenvalues in order; no
+    matrix is formed.
     """
-    root = fock.ladder_elements(dim)
-    occ = root * root
     rows: list[SpinSpectrumRow] = []
     for sector in range(dim):
         n1 = np.arange(sector + 1)
-        projections = 0.5 * par.hbar * (occ[n1] - occ[sector - n1])
+        projections = 0.5 * par.hbar * (n1 - (sector - n1))
         casimir = par.hbar ** 2 * (sector / 2.0) * (sector / 2.0 + 1.0)
         for m in projections:
             rows.append(SpinSpectrumRow(sector, float(m), casimir))
@@ -232,7 +229,7 @@ def spin_eigenvector(n1: int, n2: int, dim: int) -> np.ndarray:
     """
     if not (0 <= n1 < dim and 0 <= n2 < dim):
         raise OutOfTruncation(f"occupations ({n1}, {n2}) do not fit in truncation {dim}")
-    a1, c1, a2, c2 = _mode_matrices(dim)
+    a1, c1, a2, c2 = mode_matrices(dim)
     vec = np.zeros(dim * dim, dtype=np.complex128)
     vec[0] = 1.0
     for _ in range(n1):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _spectral
 from .errors import GridMismatch, NonHermitianInput
-from .phasespace import PhaseDensity, PhaseGrid, PhysParams, PositionGrid
+from .phasespace import PhaseDensity, PhaseGrid, PhysParams, PositionGrid, field_values
 from .schrodinger import WaveFunction
 
 PURITY_THRESHOLD = 0.999
@@ -27,8 +27,8 @@ PURITY_THRESHOLD = 0.999
 class DensitySlice:
     """Complex field rho(q, dq) on the reciprocal (q, offset) grid.
 
-    Column k corresponds to offset (k - n_p//2) * delta_step, with
-    delta_step = 2 pi hbar / (n_p * dp) fixed by the underlying grid.
+    Column k corresponds to offset (k - n_p//2) * delta_step, the offset
+    step fixed by the underlying grid.
     """
 
     grid: PhaseGrid
@@ -37,23 +37,23 @@ class DensitySlice:
     hbar: float
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (self.grid.n_q, self.grid.n_p):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid "
-                f"({self.grid.n_q}, {self.grid.n_p})"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("slice values must be finite")
+        self.values = field_values(
+            self.values, np.complex128, (self.grid.n_q, self.grid.n_p), "slice values"
+        )
 
     @property
     def delta_step(self) -> float:
-        return 2.0 * np.pi * self.hbar / (self.grid.n_p * self.grid.dp)
+        return _offset_step(self.grid, self.hbar)
 
     @property
     def delta(self) -> np.ndarray:
         n = self.grid.n_p
         return (np.arange(n) - n // 2) * self.delta_step
+
+
+def _offset_step(grid: PhaseGrid, hbar: float) -> float:
+    """The offset spacing 2 pi hbar / (n_p dp) that reciprocity ties to the momentum grid."""
+    return 2.0 * np.pi * hbar / (grid.n_p * grid.dp)
 
 
 def _transform_phases(grid: PhaseGrid, delta: np.ndarray, hbar: float):
@@ -67,8 +67,7 @@ def wigner_forward(f: PhaseDensity, par: PhysParams) -> DensitySlice:
     """Integrate F against exp(+i p dq / hbar) dp along the momentum axis."""
     grid = f.grid
     n = grid.n_p
-    step = 2.0 * np.pi * par.hbar / (n * grid.dp)
-    delta = (np.arange(n) - n // 2) * step
+    delta = (np.arange(n) - n // 2) * _offset_step(grid, par.hbar)
     inner, outer = _transform_phases(grid, delta, par.hbar)
     spectra = np.fft.ifft(f.values * inner[None, :], axis=1)
     values = grid.dp * n * outer[None, :] * spectra
@@ -126,8 +125,7 @@ def wavefunction_to_slice(
         raise GridMismatch("phase grid q axis must match the wavefunction grid")
     n = grid.n_p
     half = n // 2
-    step = 2.0 * np.pi * par.hbar / (n * grid.dp)
-    shifts = (np.arange(n + 1) - half) * step / 2.0
+    shifts = (np.arange(n + 1) - half) * _offset_step(grid, par.hbar) / 2.0
     values = np.empty((grid.n_q, n), dtype=np.complex128)
     for start in range(0, half + 1, _spectral.BLOCK):
         stop = min(start + _spectral.BLOCK, half + 1)
@@ -169,12 +167,8 @@ class EndpointMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
         n = self.grid.n
-        if self.values.shape != (n, n):
-            raise ValueError(f"values shape {self.values.shape} does not match grid ({n}, {n})")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("endpoint matrix must be finite")
+        self.values = field_values(self.values, np.complex128, (n, n), "endpoint matrix")
 
 
 def endpoint_matrix(states: Sequence[WaveFunction], weights=None) -> EndpointMatrix:

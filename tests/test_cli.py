@@ -33,6 +33,10 @@ def test_bad_config_content_exits_2(tmp_path, capsys):
 # m w^2 q^2 overflows in the evolver's potential phase, though q^2 alone does not.
 OVERFLOW_AT_1E154 = '{"grid": {"extent": 1e154}, "params": {"m": 4, "omega": 4, "hbar": 0.25}}'
 
+# The split-step phase overflows at the default grid, so only the commands that
+# build that grid refuse this config.
+TINY_MASS = '{"params": {"m": 1e-320}}'
+
 # Momenta outside this grid's window (-8, 8): the phase grid aliases them, even
 # p0 = 12, which the line's Nyquist momentum 12.57 would still hold.
 EVOLVE_64 = '{"grid": {"extent": 8, "n": 64}}'
@@ -85,6 +89,10 @@ MALFORMED = [
     # files that are not UTF-8 text, or nest too deep for the JSON decoder
     pytest.param("verify", b"\xff\xfe{}", [], "cannot read configuration", id="not-utf8"),
     pytest.param("verify", "[" * 100_000, [], "cannot read configuration", id="nested-1e5-deep"),
+    # the commands that build the configured grid refuse it where the split step overflows
+    pytest.param("verify", TINY_MASS, [], "overflows the split-step phase", id="verify-tiny-m"),
+    pytest.param("evolve", TINY_MASS, ["--state", "eigenstate:0", "--time", "1"],
+                 "overflows the split-step phase", id="evolve-tiny-m"),
 ]
 
 
@@ -104,6 +112,17 @@ def test_malformed_or_oversize_input_exits_2(tmp_path, capsys, command, config, 
     assert err.startswith("error: ")
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, rows", [(["spin", "--n-max", "3"], 10),
+                                        (["spectrum", "--cutoff", "4"], 4)],
+                         ids=["spin", "spectrum"])
+def test_exports_ignore_the_bound_of_a_grid_they_never_build(tmp_path, argv, rows):
+    config = tmp_path / "config.json"
+    config.write_text(TINY_MASS)
+    out = tmp_path / "export.csv"
+    assert main([*argv, "--config", str(config), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + rows
 
 
 def test_evolve_completes_at_extent_1e154(tmp_path):

@@ -11,8 +11,9 @@ constant, unless ``ALLOWED_DEFAULTS`` gives a reason.  Nor may a default be
 passed by every call of its callee in the package: then only tests rely on it.
 Matching is by name, so a method that shares its name with a reached one is
 not caught, and a call through another function of the same name counts.
-Finally, no module imports a private name from another: a rule that several
-modules need belongs behind a public name in one of them.
+Finally, no module imports a private name from another or reads one as an
+attribute of another: a rule that several modules need belongs behind a
+public name in one of them.
 """
 
 import ast
@@ -276,9 +277,9 @@ def private_imports(modules):
     another module of the package.
 
     Private modules themselves (``from . import _spectral``) may be imported,
-    and so may the public names they define.  Attribute access to a private
-    name, such as ``spin._mode_matrices``, is not an import and is out of
-    scope here.
+    and so may the public names they define.  Reading a private name as an
+    attribute of a module, such as ``spin._mode_matrices``, is the part of
+    ``private_attributes``.
     """
     found = []
     for module, tree in modules.items():
@@ -290,6 +291,26 @@ def private_imports(modules):
             source = "." * node.level + node.module
             found += [f"{module}: from {source} import {alias.name}"
                       for alias in node.names if not _public(alias.name)]
+    return found
+
+
+def private_attributes(modules):
+    """'module: name._attr' for every private attribute a module reads from a
+    module of the package it imported by name (``from . import spin`` or
+    ``from phaseq import spin as s``).
+
+    The private module ``_spectral`` may be imported this way, and its public
+    names read, like any other module's.
+    """
+    found = []
+    for module, tree in modules.items():
+        bound = {alias.asname or alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 and (node.module is None if node.level else node.module == PACKAGE.name)
+                 for alias in node.names if alias.name in modules}
+        found += [f"{module}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in bound and not _public(node.attr)]
     return found
 
 
@@ -310,3 +331,24 @@ def test_scan_catches_a_private_import():
                  "from ._spectral import wavenumbers"):
         modules["fock"] = ast.parse(f"{line}\n{source}")
         assert not [found for found in private_imports(modules) if found.startswith("fock:")]
+
+
+def test_no_module_reads_a_private_attribute_of_another():
+    private = private_attributes(_modules())
+    assert private == [], f"private names read across modules: {private}"
+
+
+def test_scan_catches_a_private_attribute():
+    source = (PACKAGE / "fock.py").read_text()
+    modules = _modules()
+    for line, found in (("from . import phasespace\nphasespace._is_power_of_two(2)",
+                         "fock: phasespace._is_power_of_two"),
+                        ("from phaseq import phasespace as ps\nps._is_power_of_two(2)",
+                         "fock: ps._is_power_of_two"),
+                        ("from . import _spectral\n_spectral._private(2)",
+                         "fock: _spectral._private")):
+        modules["fock"] = ast.parse(f"{source}\n{line}\n")
+        assert [f for f in private_attributes(modules) if f.startswith("fock:")] == [found]
+    for line in ("from . import _spectral\n_spectral.shear", "np._NoValue", "sys._getframe()"):
+        modules["fock"] = ast.parse(f"{source}\n{line}\n")
+        assert not [f for f in private_attributes(modules) if f.startswith("fock:")]

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from phaseq import report
+from phaseq import report, spin
 
 _ID = re.compile(r"Eq\.(\d+)([a-z]*)(-literal)?")
 
@@ -67,3 +67,28 @@ def test_size_cap_admits_the_largest_sizes():
 def test_integral_float_sizes_are_accepted():
     config = report.SuiteConfig.from_mapping({"grid": {"n": 64.0}, "seed": 1e3})
     assert (config.grid_points, config.seed) == (64, 1000)
+
+
+def _check_of(equation_id):
+    return next(check for check in report._CHECKS if check.equation_id == equation_id)
+
+
+def test_spectrum_entry_is_exact_at_the_largest_truncation():
+    # one ulp of the top trusted level, 8 * 2046.5, is 1.8e-12, above the 1e-12 gate
+    config = report.SuiteConfig.from_mapping(
+        {"truncation": 2048, "params": {"m": 0.125, "omega": 8, "hbar": 1}}
+    )
+    check = _check_of("Eq.27")
+    residual, _ = check.run(report._Context(config))
+    assert residual == 0.0 < check.threshold
+
+
+def test_joint_spectrum_entry_audits_the_rows_in_exported_order(monkeypatch):
+    ctx = report._Context(report.SuiteConfig())
+    check = _check_of("Eq.51")
+    assert check.run(ctx) < check.threshold
+    rows = spin.spin_spectrum(report.SPIN_DIM, ctx.par)
+    descending = [row for sector in range(report.SPIN_DIM)
+                  for row in reversed([r for r in rows if r.sector == sector])]
+    monkeypatch.setattr(spin, "spin_spectrum", lambda dim, par: descending)
+    assert check.run(ctx) >= check.threshold
