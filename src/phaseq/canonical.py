@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import OriginUndefined
-from .phasespace import PhasePoint, PhysParams, hamiltonian
+from .phasespace import PhasePoint, PhysParams
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,3 @@ def shell_point(theta: float, par: PhysParams) -> PhasePoint:
     q = math.sin(theta) / math.sqrt(par.m * par.omega / (2.0 * par.hbar))
     return PhasePoint(q, p)
 
-
-def energy_check(pt: PhasePoint, par: PhysParams) -> float:
-    """|hbar*omega*q1*p1 - H| at a point (the transformed-Hamiltonian identity)."""
-    nm = to_normal_modes(pt, par)
-    return abs(transformed_hamiltonian(nm, par) - hamiltonian(pt, par))

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _spectral
+from . import _spectral, fock
 from .errors import AllZero, GridMismatch
-from .fock import BargmannPoly
 from .phasespace import PhysParams, PositionGrid
 from .schrodinger import WaveFunction
 
@@ -188,7 +187,7 @@ class TransformedPairResiduals:
     phase_residual: np.ndarray
 
 
-def transformed_pair_residuals(poly: BargmannPoly, t: float, par: PhysParams) -> TransformedPairResiduals:
+def transformed_pair_residuals(poly: fock.BargmannPoly, t: float, par: PhysParams) -> TransformedPairResiduals:
     """Evaluate the transformed continuity/phase pair for a polynomial state.
 
     The amplitude is evolved mode-by-mode, sampled at 512 points of the real
@@ -198,14 +197,11 @@ def transformed_pair_residuals(poly: BargmannPoly, t: float, par: PhysParams) ->
     if poly.is_zero:
         raise AllZero("cannot evaluate residuals for the zero amplitude")
     positions = np.linspace(0.1, 4.0, 512)
-    n = np.arange(poly.coeffs.size)
-    rates = -1j * par.omega * (n + 0.5)
-    coeff_t = poly.coeffs * np.exp(rates * t)
-    coeff_dot = rates * coeff_t
-    coeff_dq = np.polynomial.polynomial.polyder(coeff_t)
-    value = np.polynomial.polynomial.polyval(positions, coeff_t)
-    value_dot = np.polynomial.polynomial.polyval(positions, coeff_dot)
-    value_dq = np.polynomial.polynomial.polyval(positions, coeff_dq)
+    evolved = fock.bargmann_evolve(poly, t, par)
+    rates = -1j * par.omega * (np.arange(evolved.coeffs.size) + 0.5)
+    value = fock.bargmann_eval(evolved, positions)
+    value_dot = fock.bargmann_eval(fock.BargmannPoly(rates * evolved.coeffs), positions)
+    value_dq = fock.bargmann_eval(fock.bargmann_apply("annihilate", evolved), positions)
     hw = par.hbar * par.omega
     density = np.abs(value) ** 2
     density_dot = 2.0 * np.real(np.conj(value) * value_dot)

@@ -229,7 +229,7 @@ def _check_mass_conservation(ctx: _Context):
         "flow derivative matches the canonical equations of motion")
 def _check_hamilton_equations(ctx: _Context):
     par = ctx.par
-    h = 1e-5
+    h = 1e-5 / par.omega
     worst = 0.0
     for qp in ctx.random_points(20):
         pt = PhasePoint(float(qp[0]), float(qp[1]))
@@ -429,7 +429,8 @@ def _check_transformed_hamiltonian(ctx: _Context):
     worst = 0.0
     for qp in ctx.random_points(1000):
         pt = PhasePoint(float(qp[0]), float(qp[1]))
-        worst = max(worst, canonical.energy_check(pt, par))
+        energy = canonical.transformed_hamiltonian(canonical.to_normal_modes(pt, par), par)
+        worst = max(worst, abs(energy - phasespace.hamiltonian(pt, par)))
     return worst
 
 
@@ -534,9 +535,7 @@ def _check_transformed_schrodinger(ctx: _Context):
     ahead = fock.bargmann_evolve(poly, t0 + h, par)
     behind = fock.bargmann_evolve(poly, t0 - h, par)
     values = fock.bargmann_eval(now, positions)
-    slope = fock.bargmann_eval(
-        fock.BargmannPoly(np.polynomial.polynomial.polyder(now.coeffs)), positions
-    )
+    slope = fock.bargmann_eval(fock.bargmann_apply("annihilate", now), positions)
     time_rate = (fock.bargmann_eval(ahead, positions) - fock.bargmann_eval(behind, positions)) / (2.0 * h)
     lhs = par.hbar * par.omega * (positions * slope + 0.5 * values)
     return float(np.abs(lhs - 1j * par.hbar * time_rate).max())
@@ -552,9 +551,7 @@ def _check_transformed_schrodinger_literal(ctx: _Context):
     for n in (0, 1):
         poly = fock.bargmann_evolve(fock.monomial(n), 0.7 / par.omega, par)
         values = fock.bargmann_eval(poly, positions)
-        slope = fock.bargmann_eval(
-            fock.BargmannPoly(np.polynomial.polynomial.polyder(poly.coeffs)), positions
-        )
+        slope = fock.bargmann_eval(fock.bargmann_apply("annihilate", poly), positions)
         lhs = par.hbar * par.omega * (-1j * par.hbar * positions * slope + 0.5j * par.hbar * values)
         rhs = par.hbar * par.omega * (n + 0.5) * values
         worst = max(worst, float(np.abs(lhs - rhs).max() / np.abs(values).max()))
@@ -753,8 +750,8 @@ def _check_casimir(ctx: _Context):
     pts = ctx.rng.normal(scale=1.5, size=(1000, 4))
     worst = 0.0
     for row in pts:
-        values = spin.spin_functions(spin.Phase4Point(*map(float, row)), par)
-        worst = max(worst, values.casimir_residual())
+        s = spin.spin_functions(spin.Phase4Point(*map(float, row)), par)
+        worst = max(worst, abs(s.s1 ** 2 + s.s2 ** 2 + s.s3 ** 2 - 0.25 * s.s0 ** 2))
     return worst
 
 
@@ -963,19 +960,18 @@ def _check_lambda_operator_shift(ctx: _Context):
         "truncation 8, half-integral rows included",
         convention=REPAIRED)
 def _check_joint_spectrum(ctx: _Context):
-    par = ctx.par
     dim = SPIN_DIM
-    rows = spin.spin_spectrum(dim, par)
+    rows = spin.spin_spectrum(dim)
     residual = 0.0
     for sector in range(0, dim):
-        got = [r.projection for r in rows if r.sector == sector]
-        expected = [par.hbar * (2 * n1 - sector) / 2.0 for n1 in range(sector + 1)]
+        got = [r.m for r in rows if r.sector == sector]
+        expected = [(2 * n1 - sector) / 2.0 for n1 in range(sector + 1)]
         if len(got) != len(expected):
             residual = math.inf
             break
         residual = max(residual, max(abs(g - e) for g, e in zip(got, expected)))
-        casimir = par.hbar ** 2 * (sector / 2.0) * (sector / 2.0 + 1.0)
-        residual = max(residual, max(abs(r.casimir - casimir) for r in rows if r.sector == sector))
+        s_squared = (sector / 2.0) * (sector / 2.0 + 1.0)
+        residual = max(residual, max(abs(r.s_squared - s_squared) for r in rows if r.sector == sector))
     return residual
 
 

@@ -5,14 +5,14 @@ The four quadratic functions close under Poisson brackets with structure
 S1^2 + S2^2 + S3^2 = S0^2 / 4, and quantise through the per-axis normal-mode
 map into two coupled ladder modes.  Joint spectra of the commuting pair
 (number, S2') realise integral and half-integral multiplets: total number N
-carries spin N/2, with projections hbar (n1 - n2) / 2 from integer occupations.
+carries spin N/2, with projections (n1 - n2) / 2 in units of hbar, counted
+from the integer occupations.
 
 One written transformed function does not survive scrutiny: the same-mode
 squares form of the first spin component evaluates to a pure imaginary for
 real phase points and cannot equal the (real) original.  The cross-mode form
-(hbar/2)(q1 p2 + q2 p1) does.  Both are computed; equality is asserted only
-for the components where it holds, and the verification report carries the
-residual of the written form.
+(hbar/2)(q1 p2 + q2 p1) does.  Both are computed, and the verification
+report carries the residual of the written form.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ class SpinValues:
     s1: float
     s2: float
     s3: float
-
-    def casimir_residual(self) -> float:
-        return abs(self.s1 ** 2 + self.s2 ** 2 + self.s3 ** 2 - 0.25 * self.s0 ** 2)
 
 
 def spin_functions(pt: Phase4Point, par: PhysParams) -> SpinValues:
@@ -181,59 +178,45 @@ def su2_closure_defects(dim: int, par: PhysParams) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SpinSpectrumRow:
+    """One row of the joint spectrum, counted in units of hbar."""
+
     sector: int        # total excitation number N
-    projection: float  # S2' eigenvalue m
-    casimir: float     # hbar^2 (N/2)(N/2 + 1)
+    m: float           # S2' eigenvalue (n1 - n2) / 2
+    s_squared: float   # squared spin (N/2)(N/2 + 1)
 
 
-def spin_spectrum(dim: int, par: PhysParams) -> list[SpinSpectrumRow]:
+def spin_spectrum(dim: int) -> list[SpinSpectrumRow]:
     """Joint spectrum of the commuting pair (number, S2'), sectors 0 to dim - 1.
 
     Sector N holds |n1, N - n1> for n1 = 0..N, the full spin-N/2 multiplet.
-    S2' is diagonal there, with entries (hbar/2)(n1 - n2) from the integer
+    S2' is diagonal there, with entries (n1 - n2) / 2 from the integer
     occupations, which ascend in n1, so they are its eigenvalues in order; no
     matrix is formed.
     """
     rows: list[SpinSpectrumRow] = []
     for sector in range(dim):
         n1 = np.arange(sector + 1)
-        projections = 0.5 * par.hbar * (n1 - (sector - n1))
-        casimir = par.hbar ** 2 * (sector / 2.0) * (sector / 2.0 + 1.0)
+        projections = 0.5 * (n1 - (sector - n1))
+        s_squared = (sector / 2.0) * (sector / 2.0 + 1.0)
         for m in projections:
-            rows.append(SpinSpectrumRow(sector, float(m), casimir))
+            rows.append(SpinSpectrumRow(sector, float(m), s_squared))
     return rows
 
 
 def lambda_relation(lam: float, par: PhysParams) -> float:
-    """Squared-spin eigenvalue hbar^2 ((lam-1)/2)((lam+1)/2) for lam >= 1.
-
-    Identical to hbar^2 (N/2)(N/2 + 1) at N = lam - 1; both forms are
-    evaluated and compared as a guard against transcription drift.
-    """
+    """Squared-spin eigenvalue hbar^2 ((lam-1)/2)((lam+1)/2) for lam >= 1."""
     if lam < 1.0:
         raise DomainError(f"lambda must be at least 1, got {lam!r}")
-    hb2 = par.hbar ** 2
-    value = hb2 * ((lam - 1.0) / 2.0) * ((lam + 1.0) / 2.0)
-    n = lam - 1.0
-    alt = hb2 * (n / 2.0) * (n / 2.0 + 1.0)
-    if abs(value - alt) > 1e-12 * max(1.0, abs(value)):
-        raise AssertionError("eigenvalue identity violated beyond roundoff")
-    return value
+    return par.hbar ** 2 * ((lam - 1.0) / 2.0) * ((lam + 1.0) / 2.0)
 
 
 def spin_eigenvector(n1: int, n2: int, dim: int) -> np.ndarray:
     """Repeated creation on the two-mode vacuum: component sqrt(n1! n2!).
 
-    The result is the unnormalised joint eigenvector of the number operator
-    (eigenvalue n1 + n2) and S2' (eigenvalue hbar (n1 - n2) / 2).
+    The result is |n1> (x) |n2> in the n1 * dim + n2 basis, the unnormalised
+    joint eigenvector of the number operator (eigenvalue n1 + n2) and S2'
+    (eigenvalue hbar (n1 - n2) / 2).
     """
     if not (0 <= n1 < dim and 0 <= n2 < dim):
         raise OutOfTruncation(f"occupations ({n1}, {n2}) do not fit in truncation {dim}")
-    a1, c1, a2, c2 = mode_matrices(dim)
-    vec = np.zeros(dim * dim, dtype=np.complex128)
-    vec[0] = 1.0
-    for _ in range(n1):
-        vec = c1 @ vec
-    for _ in range(n2):
-        vec = c2 @ vec
-    return vec
+    return np.kron(fock.number_state(n1, dim), fock.number_state(n2, dim))

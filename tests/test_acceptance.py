@@ -55,10 +55,11 @@ def test_criterion_02_transformed_hamiltonian():
 
     rng = np.random.default_rng(101)
     with _Timer() as timer:
-        worst = max(
-            cn.energy_check(ps.PhasePoint(*rng.normal(scale=2.0, size=2)), PAR)
-            for _ in range(1000)
-        )
+        worst = 0.0
+        for _ in range(1000):
+            pt = ps.PhasePoint(*rng.normal(scale=2.0, size=2))
+            energy = cn.transformed_hamiltonian(cn.to_normal_modes(pt, PAR), PAR)
+            worst = max(worst, abs(energy - ps.hamiltonian(pt, PAR)))
     _conclude(2, "transformed Hamiltonian identity", worst < 1e-12, 0.1, timer,
               f"max |hw q1 p1 - H| = {worst:.2e}")
 
@@ -117,11 +118,11 @@ def test_criterion_05_fluid_residuals():
 def test_criterion_06_sphere_constraint():
     rng = np.random.default_rng(102)
     with _Timer() as timer:
-        worst = max(
-            spin.spin_functions(spin.Phase4Point(*map(float, rng.normal(scale=1.5, size=4))),
-                                PAR).casimir_residual()
-            for _ in range(1000)
-        )
+        worst = 0.0
+        for _ in range(1000):
+            s = spin.spin_functions(spin.Phase4Point(*map(float, rng.normal(scale=1.5, size=4))),
+                                    PAR)
+            worst = max(worst, abs(s.s1 ** 2 + s.s2 ** 2 + s.s3 ** 2 - 0.25 * s.s0 ** 2))
     _conclude(6, "sphere constraint", worst < 1e-12, 0.1, timer,
               f"max |S1^2+S2^2+S3^2 - S0^2/4| = {worst:.2e}")
 
@@ -149,17 +150,17 @@ def test_criterion_07_bracket_closure():
 def test_criterion_08_joint_spin_spectra():
     with _Timer() as timer:
         dim = 8
-        rows = spin.spin_spectrum(dim, PAR)
+        rows = spin.spin_spectrum(dim)
         worst = 0.0
         counts_ok = True
         for sector in range(dim):
-            members = sorted(r.projection for r in rows if r.sector == sector)
-            expected = [PAR.hbar * (2 * n1 - sector) / 2.0 for n1 in range(sector + 1)]
+            members = sorted(r.m for r in rows if r.sector == sector)
+            expected = [(2 * n1 - sector) / 2.0 for n1 in range(sector + 1)]
             counts_ok = counts_ok and len(members) == sector + 1
             worst = max(worst, float(np.abs(np.array(members) - np.array(expected)).max()))
-            casimir = PAR.hbar ** 2 * (sector / 2.0) * (sector / 2.0 + 1.0)
-            worst = max(worst, max(abs(r.casimir - casimir) for r in rows if r.sector == sector))
-        half_integral = sorted(r.projection for r in rows if r.sector == 1)
+            s_squared = (sector / 2.0) * (sector / 2.0 + 1.0)
+            worst = max(worst, max(abs(r.s_squared - s_squared) for r in rows if r.sector == sector))
+        half_integral = sorted(r.m for r in rows if r.sector == 1)
     ok = counts_ok and worst < 1e-9 and half_integral == [-0.5, 0.5]
     _conclude(8, "joint spin spectra", ok, 5.0, timer,
               f"max eigenvalue deviation {worst:.2e}, multiplicities exact: {counts_ok}")

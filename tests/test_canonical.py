@@ -53,7 +53,8 @@ def test_transformed_hamiltonian_identity():
     for par in (PAR, ps.PhysParams(1.7, 0.4, 0.9)):
         for _ in range(1000):
             pt = ps.PhasePoint(*rng.normal(scale=2.0, size=2))
-            assert cn.energy_check(pt, par) < 1e-12
+            energy = cn.transformed_hamiltonian(cn.to_normal_modes(pt, par), par)
+            assert abs(energy - ps.hamiltonian(pt, par)) < 1e-12
 
 
 def test_transformed_hamiltonian_example_values():

@@ -69,11 +69,11 @@ MALFORMED = [
      "overflows the split-step phase"),
     ("evolve", OVERFLOW_AT_1E154, ["--state", "eigenstate:0", "--time", "1"],
      "overflows the split-step phase"),
-    # hbar^2 overflows, underflows to 0 or is subnormal, or the top sector's s^2 overflows
-    ("spin", '{"params": {"hbar": 1e160}}', ["--n-max", "3"], "is outside float64"),
-    ("spin", '{"params": {"hbar": 1e-300}}', ["--n-max", "3"], "is outside float64"),
-    ("spin", '{"params": {"hbar": 1e-155}}', ["--n-max", "3"], "is outside float64"),
-    ("spin", '{"params": {"hbar": 2e153}}', ["--n-max", "44"], "is outside float64"),
+    # spin rows hold no hbar, yet spin still refuses a malformed one
+    ("spin", '{"params": {"hbar": 0}}', ["--n-max", "3"], "hbar must be positive"),
+    ("spin", '{"params": {"hbar": -1}}', ["--n-max", "3"], "hbar must be positive"),
+    ("spin", '{"params": {"hbar": Infinity}}', ["--n-max", "3"], "hbar must be a finite number"),
+    ("spin", '{"params": {"hbar": "1"}}', ["--n-max", "44"], "hbar must be a finite number"),
     ("spectrum", '{"params": {"hbar": 1e300, "omega": 1e9}}', ["--cutoff", "4"],
      "overflows float64"),
     ("spectrum", '{"params": {"hbar": 1e300, "omega": 1e6}}', ["--cutoff", "2048"],
@@ -202,7 +202,8 @@ def test_spectrum_at_the_admitted_cutoff(tmp_path):
     assert [float(row[1]) for row in rows[-2:]] == pytest.approx([2046.5, 2047.0], rel=1e-15)
 
 
-@pytest.mark.parametrize("hbar", [1.5e-154, 5e152])
+# the rows count in units of hbar, so every hbar gives the same exact rows
+@pytest.mark.parametrize("hbar", [1.5e-154, 5e152, 1e160, 1e-300, 0.28, 3.7])
 def test_spin_at_the_admitted_hbar_range(tmp_path, hbar):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"params": {"hbar": hbar}}))
@@ -212,7 +213,8 @@ def test_spin_at_the_admitted_hbar_range(tmp_path, hbar):
     assert len(rows) == 1035
     for row in rows:
         half = int(row[0]) / 2.0
-        assert float(row[3]) == pytest.approx(half * (half + 1.0), rel=1e-12)
+        assert (2 * float(row[2])).is_integer()
+        assert float(row[3]) == half * (half + 1.0)
 
 
 def test_spectrum_at_the_admitted_scale(tmp_path):

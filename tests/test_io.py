@@ -52,8 +52,8 @@ def test_spectrum_csv_contract(tmp_path):
 
 
 def test_spin_csv_contract(tmp_path):
-    rows = spin.spin_spectrum(2, PAR)
-    path = io.save_spin_csv(tmp_path / "spin.csv", rows, PAR.hbar)
+    rows = spin.spin_spectrum(2)
+    path = io.save_spin_csv(tmp_path / "spin.csv", rows)
     lines = path.read_text().splitlines()
     assert lines[0] == "N,two_s,m_over_hbar,s_squared_over_hbar2,complete_flag"
     assert len(lines) == 1 + 3  # N=0 once, N=1 twice
@@ -160,12 +160,10 @@ def test_spectrum_csv_bytes_match_savetxt(tmp_path, par):
     assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
-@pytest.mark.parametrize("par", [PAR, ODD], ids=["natural", "odd"])
-def test_spin_csv_bytes_match_savetxt(tmp_path, par):
-    rows = spin.spin_spectrum(5, par)
-    path = io.save_spin_csv(tmp_path / "spin.csv", rows, par.hbar)
-    table = np.array([[r.sector, r.sector, r.projection / par.hbar,
-                       r.casimir / par.hbar ** 2, 1] for r in rows])
+def test_spin_csv_bytes_match_savetxt(tmp_path):
+    rows = spin.spin_spectrum(5)
+    path = io.save_spin_csv(tmp_path / "spin.csv", rows)
+    table = np.array([[r.sector, r.sector, r.m, r.s_squared, 1] for r in rows])
     np.savetxt(tmp_path / "oracle.csv", table, delimiter=",",
                fmt=["%d", "%d", "%.17g", "%.17g", "%d"],
                header="N,two_s,m_over_hbar,s_squared_over_hbar2,complete_flag", comments="")

@@ -67,7 +67,7 @@ def test_inverse_owns_a_contiguous_real_density():
 
 def test_spin_spectrum_builds_no_two_mode_matrix():
     # one complex 1024 x 1024 two-mode matrix alone would take 16 MiB
-    assert _traced_peak(lambda: spin.spin_spectrum(32, PAR)) < 1 << 20
+    assert _traced_peak(lambda: spin.spin_spectrum(32)) < 1 << 20
 
 
 def test_oscillator_spectrum_builds_no_matrix():

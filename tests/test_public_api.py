@@ -11,9 +11,11 @@ constant, unless ``ALLOWED_DEFAULTS`` gives a reason.  Nor may a default be
 passed by every call of its callee in the package: then only tests rely on it.
 Matching is by name, so a method that shares its name with a reached one is
 not caught, and a call through another function of the same name counts.
-Finally, no module imports a private name from another or reads one as an
-attribute of another: a rule that several modules need belongs behind a
-public name in one of them.
+No module imports a private name from another or reads one as an attribute
+of another: a rule that several modules need belongs behind a public name in
+one of them.  Finally, the package asserts nothing: a comparison belongs in
+the verify entry that reports it, where a drift reads "fail" instead of
+aborting the report.
 """
 
 import ast
@@ -352,3 +354,25 @@ def test_scan_catches_a_private_attribute():
     for line in ("from . import _spectral\n_spectral.shear", "np._NoValue", "sys._getframe()"):
         modules["fock"] = ast.parse(f"{source}\n{line}\n")
         assert not [f for f in private_attributes(modules) if f.startswith("fock:")]
+
+
+def assertions(modules):
+    """'module:line' for every assert statement and every use of AssertionError."""
+    return [f"{module}:{node.lineno}" for module, tree in modules.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+            or (isinstance(node, ast.Name) and node.id == "AssertionError")]
+
+
+def test_the_package_asserts_nothing():
+    found = assertions(_modules())
+    assert found == [], f"assertions in src/phaseq: {found}"
+
+
+def test_scan_catches_an_assertion():
+    source = (PACKAGE / "fock.py").read_text()
+    modules = _modules()
+    for line in ("assert True", "raise AssertionError('drift')"):
+        modules["fock"] = ast.parse(f"{source}\n{line}\n")
+        assert [f for f in assertions(modules) if f.startswith("fock:")] == [
+            f"fock:{len(source.splitlines()) + 2}"]

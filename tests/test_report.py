@@ -3,6 +3,8 @@
 import functools
 import importlib
 import re
+import sys
+import types
 
 import pytest
 
@@ -87,8 +89,32 @@ def test_joint_spectrum_entry_audits_the_rows_in_exported_order(monkeypatch):
     ctx = report._Context(report.SuiteConfig())
     check = _check_of("Eq.51")
     assert check.run(ctx) < check.threshold
-    rows = spin.spin_spectrum(report.SPIN_DIM, ctx.par)
+    rows = spin.spin_spectrum(report.SPIN_DIM)
     descending = [row for sector in range(report.SPIN_DIM)
                   for row in reversed([r for r in rows if r.sector == sector])]
-    monkeypatch.setattr(spin, "spin_spectrum", lambda dim, par: descending)
+    monkeypatch.setattr(spin, "spin_spectrum", lambda dim: descending)
     assert check.run(ctx) >= check.threshold
+
+
+def _mutant(monkeypatch, module, original, replacement):
+    """``module``'s source with one spelling replaced, executed as a module of the
+    package; dataclasses look their module up in ``sys.modules``."""
+    path = module.__file__
+    with open(path) as file:
+        source = file.read()
+    assert source.count(original) == 1, original
+    mutant = types.ModuleType(f"{module.__name__}_mutant")
+    mutant.__package__ = module.__package__
+    monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+    exec(compile(source.replace(original, replacement), path, "exec"), mutant.__dict__)
+    return mutant
+
+
+def test_a_drifted_lambda_relation_fails_its_entry_without_aborting(monkeypatch):
+    drifted = _mutant(monkeypatch, spin, "((lam + 1.0) / 2.0)", "((lam + 2.0) / 2.0)")
+    monkeypatch.setattr(spin, "lambda_relation", drifted.lambda_relation)
+    entries = report.run_suite(report.SuiteConfig())
+    assert len(entries) == len(report._CHECKS)
+    entry = next(e for e in entries if e.equation_id == "Eq.40")
+    assert entry.residual >= entry.threshold
+    assert entry.status == report.FAIL

@@ -43,7 +43,8 @@ def test_origin_maps_to_zero():
 
 def test_sphere_constraint():
     for pt in _random_points(1000):
-        assert spin.spin_functions(pt, PAR).casimir_residual() < 1e-12
+        s = spin.spin_functions(pt, PAR)
+        assert abs(s.s1 ** 2 + s.s2 ** 2 + s.s3 ** 2 - 0.25 * s.s0 ** 2) < 1e-12
 
 
 def test_bracket_closure():
@@ -194,48 +195,49 @@ def test_closure_defects_separate_the_two_sets():
 # ---------------------------------------------------------------------------
 
 def test_half_integral_sector():
-    rows = [r for r in spin.spin_spectrum(8, PAR) if r.sector == 1]
+    rows = [r for r in spin.spin_spectrum(8) if r.sector == 1]
     assert len(rows) == 2
-    assert sorted(r.projection for r in rows) == pytest.approx([-0.5, 0.5], abs=1e-12)
-    assert rows[0].casimir == pytest.approx(0.75, abs=1e-12)
+    assert sorted(r.m for r in rows) == pytest.approx([-0.5, 0.5], abs=1e-12)
+    assert rows[0].s_squared == pytest.approx(0.75, abs=1e-12)
 
 
 def test_vacuum_sector():
-    rows = [r for r in spin.spin_spectrum(4, PAR) if r.sector == 0]
+    rows = [r for r in spin.spin_spectrum(4) if r.sector == 0]
     assert len(rows) == 1
-    assert rows[0].projection == pytest.approx(0.0, abs=1e-12)
-    assert rows[0].casimir == 0.0
+    assert rows[0].m == pytest.approx(0.0, abs=1e-12)
+    assert rows[0].s_squared == 0.0
 
 
 def test_sector_sizes_and_multiplicity():
     dim = 8
-    rows = spin.spin_spectrum(dim, PAR)
+    rows = spin.spin_spectrum(dim)
     for sector in range(dim):
-        members = sorted(r.projection for r in rows if r.sector == sector)
-        expected = [PAR.hbar * (2 * n1 - sector) / 2.0 for n1 in range(sector + 1)]
+        members = sorted(r.m for r in rows if r.sector == sector)
+        expected = [(2 * n1 - sector) / 2.0 for n1 in range(sector + 1)]
         assert len(members) == sector + 1
         assert np.abs(np.array(members) - np.array(expected)).max() < 1e-9
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 45])
 def test_spectrum_holds_only_the_complete_sectors(dim):
-    sectors = [r.sector for r in spin.spin_spectrum(dim, PAR)]
+    sectors = [r.sector for r in spin.spin_spectrum(dim)]
     assert sectors == [sector for sector in range(dim) for _ in range(sector + 1)]
     assert len(sectors) == sum(n + 1 for n in range(dim))
 
 
 def _spectrum_by_number_eigensolve(dim, par):
     """Reference construction: sectors below dim from an eigensolve of the
-    number operator, and S2' projected onto each sector's eigenvectors."""
+    number operator, and S2' projected onto each sector's eigenvectors, its
+    eigenvalues divided by hbar."""
     ops = spin.two_mode_operators(dim, par)
     numbers, vectors = np.linalg.eigh(ops.number)
     rows = []
     for sector in range(dim):
         members = np.where(np.abs(numbers - sector) < 1e-6)[0]
         basis = vectors[:, members]
-        projections = np.linalg.eigvalsh(np.conj(basis.T) @ ops.s2 @ basis)
-        casimir = par.hbar ** 2 * (sector / 2.0) * (sector / 2.0 + 1.0)
-        rows.extend(spin.SpinSpectrumRow(sector, float(m), casimir) for m in projections)
+        projections = np.linalg.eigvalsh(np.conj(basis.T) @ ops.s2 @ basis) / par.hbar
+        s_squared = (sector / 2.0) * (sector / 2.0 + 1.0)
+        rows.extend(spin.SpinSpectrumRow(sector, float(m), s_squared) for m in projections)
     return rows
 
 
@@ -244,19 +246,20 @@ def _spectrum_by_number_eigensolve(dim, par):
 )
 @pytest.mark.parametrize("dim", [2, 3, 8, 16, 24])
 def test_spectrum_rows_equal_the_number_eigensolve(dim, par):
-    # equal within the oracle's own roundoff: its occupations are sqrt(n) sqrt(n)
-    rows = spin.spin_spectrum(dim, par)
+    # equal within the oracle's own roundoff: its occupations are sqrt(n) sqrt(n),
+    # and its eigenvalues are divided by hbar, so the bound is in units of hbar
+    rows = spin.spin_spectrum(dim)
     reference = _spectrum_by_number_eigensolve(dim, par)
-    assert [(r.sector, r.casimir) for r in rows] == [(r.sector, r.casimir) for r in reference]
-    gap = np.array([r.projection for r in rows]) - [r.projection for r in reference]
-    assert np.abs(gap).max() <= par.hbar * np.spacing(float(dim))
+    assert [(r.sector, r.s_squared) for r in rows] == [(r.sector, r.s_squared) for r in reference]
+    gap = np.array([r.m for r in rows]) - [r.m for r in reference]
+    assert np.abs(gap).max() <= np.spacing(float(dim))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 32, 45])
 def test_projections_are_exact_half_integers_at_natural_units(dim):
-    rows = spin.spin_spectrum(dim, PAR)
+    rows = spin.spin_spectrum(dim)
     expected = [(sector, 2 * n1 - sector) for sector in range(dim) for n1 in range(sector + 1)]
-    assert [(r.sector, 2 * r.projection) for r in rows] == expected
+    assert [(r.sector, 2 * r.m) for r in rows] == expected
 
 
 def test_eigenvalue_relabelling():
