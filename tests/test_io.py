@@ -12,6 +12,7 @@ from phaseq import fock, io
 from phaseq import phasespace as ps
 from phaseq import schrodinger as sc
 from phaseq import spin
+from phaseq.cli import main
 
 PAR = ps.NATURAL
 ODD = ps.PhysParams(2.54, 0.41, 0.28)
@@ -160,9 +161,15 @@ def test_spectrum_csv_bytes_match_savetxt(tmp_path, par):
     assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
-def test_spin_csv_bytes_match_savetxt(tmp_path):
+@pytest.mark.parametrize("par", [PAR, ODD], ids=["natural", "odd"])
+def test_spin_csv_bytes_match_savetxt(tmp_path, par):
+    # The rows are in units of hbar, so the file the spin command writes under
+    # any (m, omega, hbar) is savetxt of the same parameter-free rows.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": {"m": par.m, "omega": par.omega, "hbar": par.hbar}}))
+    path = tmp_path / "spin.csv"
+    assert main(["spin", "--config", str(config), "--n-max", "4", "--out", str(path)]) == 0
     rows = spin.spin_spectrum(5)
-    path = io.save_spin_csv(tmp_path / "spin.csv", rows)
     table = np.array([[r.sector, r.sector, r.m, r.s_squared, 1] for r in rows])
     np.savetxt(tmp_path / "oracle.csv", table, delimiter=",",
                fmt=["%d", "%d", "%.17g", "%.17g", "%d"],
