@@ -34,12 +34,7 @@ def number_state(n: int, dim: int) -> np.ndarray:
     """(creation)^n applied to the vacuum; component sqrt(n!) at index n."""
     if not 0 <= n < dim:
         raise OutOfTruncation(f"excitation {n} does not fit in truncation {dim}")
-    _, adag = ladder_matrices(dim)
-    vec = np.zeros(dim, dtype=np.complex128)
-    vec[0] = 1.0
-    for _ in range(n):
-        vec = adag @ vec
-    return vec
+    return fock_state_from_poly(monomial(n), dim)
 
 
 @dataclass(frozen=True)
@@ -122,10 +117,7 @@ def bargmann_apply(which: str, poly: BargmannPoly, par: PhysParams = NATURAL) ->
 
 def annihilate_written_convention(poly: BargmannPoly, par: PhysParams) -> BargmannPoly:
     """Annihilation as literally written, -i*hbar d/dz (report helper only)."""
-    c = poly.coeffs
-    if c.size == 1:
-        return BargmannPoly(np.zeros(1, dtype=np.complex128))
-    return BargmannPoly(-1j * par.hbar * c[1:] * np.arange(1, c.size))
+    return BargmannPoly(-1j * par.hbar * bargmann_apply("annihilate", poly).coeffs)
 
 
 def bargmann_evolve(poly: BargmannPoly, t: float, par: PhysParams) -> BargmannPoly:

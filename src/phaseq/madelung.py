@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _spectral, fock
 from .errors import AllZero, GridMismatch
-from .phasespace import PhysParams, PositionGrid
+from .phasespace import PhysParams, PositionGrid, field_values
 from .schrodinger import WaveFunction
 
 NODE_EPSILON_FACTOR = 1e-3
@@ -41,11 +41,9 @@ class MadelungPair:
     action: np.ndarray
 
     def __post_init__(self):
-        self.amplitude = np.asarray(self.amplitude, dtype=np.float64)
-        self.action = np.asarray(self.action, dtype=np.float64)
-        n = self.grid.n
-        if self.amplitude.shape != (n,) or self.action.shape != (n,):
-            raise ValueError("field shapes do not match the grid")
+        shape = (self.grid.n,)
+        self.amplitude = field_values(self.amplitude, np.float64, shape, "amplitude")
+        self.action = field_values(self.action, np.float64, shape, "action")
         if self.amplitude.min() < 0.0:
             raise ValueError("amplitude must be nonnegative")
 
@@ -198,9 +196,9 @@ def transformed_pair_residuals(poly: fock.BargmannPoly, t: float, par: PhysParam
         raise AllZero("cannot evaluate residuals for the zero amplitude")
     positions = np.linspace(0.1, 4.0, 512)
     evolved = fock.bargmann_evolve(poly, t, par)
-    rates = -1j * par.omega * (np.arange(evolved.coeffs.size) + 0.5)
     value = fock.bargmann_eval(evolved, positions)
-    value_dot = fock.bargmann_eval(fock.BargmannPoly(rates * evolved.coeffs), positions)
+    evolved_dot = -1j / par.hbar * fock.bargmann_apply("hamiltonian", evolved, par).coeffs
+    value_dot = fock.bargmann_eval(fock.BargmannPoly(evolved_dot), positions)
     value_dq = fock.bargmann_eval(fock.bargmann_apply("annihilate", evolved), positions)
     hw = par.hbar * par.omega
     density = np.abs(value) ** 2

@@ -12,10 +12,10 @@ conventions that are internally inconsistent, and make no zero assertion.
 Entries with a -literal suffix measure the written convention where the main
 entry uses the repaired one.
 
-Definition order is the run order, the report order, and the order in which
-the checks draw from the one shared random generator, so moving a check
-changes the random points of every later one.  Keep the checks in equation
-order and register each one explicitly, never from a loop.
+Definition order is the run order and the report order.  Each entry takes
+the shared fixtures and its own random generator, seeded by the configured
+seed and its equation id, so no entry's inputs depend on another entry or on
+where it stands in the suite.
 
 The equivalence entry follows the configured grid so refinement behaviour
 can be measured from the command line; entries with grid-pinned tolerances
@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import zlib
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -163,7 +164,6 @@ class _Context:
         self.grid = config.grid()  # refuses the config before any check runs
         self.config = config
         self.par = config.params
-        self.rng = np.random.default_rng(config.seed)
         # fixed 256^2 grid for entries with grid-pinned tolerances
         self.reference_grid = phasespace.default_grid(8.0, 256)
         self.line_grid = phasespace.PositionGrid(-10.0, 10.0, 512)
@@ -172,8 +172,9 @@ class _Context:
     def spin_ops(self) -> spin.TwoModeOperators:
         return spin.two_mode_operators(SPIN_DIM, self.par)
 
-    def random_points(self, count):
-        return self.rng.normal(scale=2.0, size=(count, 2))
+
+def _random_points(rng, count):
+    return rng.normal(scale=2.0, size=(count, 2))
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,13 @@ class _Check:
     operation: str
     detail: str
     convention: str
-    run: Callable[[_Context], object]
+    measure: Callable[[_Context, np.random.Generator], object]
+
+    def run(self, ctx: _Context):
+        """Measure the entry on its own stream, keyed by a checksum of its id."""
+        key = zlib.crc32(self.equation_id.encode())
+        seeds = np.random.SeedSequence(ctx.config.seed, spawn_key=(key,))
+        return self.measure(ctx, np.random.default_rng(seeds))
 
 
 _CHECKS: list[_Check] = []
@@ -194,9 +201,9 @@ def _check(equation_id, threshold, target, detail="", convention=LITERAL):
     """Register the decorated function as the entry of one equation."""
     module, operation = target.split(".")
 
-    def register(run):
-        _CHECKS.append(_Check(equation_id, threshold, module, operation, detail, convention, run))
-        return run
+    def register(measure):
+        _CHECKS.append(_Check(equation_id, threshold, module, operation, detail, convention, measure))
+        return measure
 
     return register
 
@@ -207,7 +214,7 @@ def _check(equation_id, threshold, target, detail="", convention=LITERAL):
 
 @_check("Eq.1", 1e-12, "phasespace.hamiltonian",
         "quadratic form evaluated against direct substitution")
-def _check_hamiltonian(ctx: _Context):
+def _check_hamiltonian(ctx: _Context, rng):
     par = ctx.par
     pt = PhasePoint(1.0, 1.0)
     expected = 1.0 / (2.0 * par.m) + 0.5 * par.m * par.omega ** 2
@@ -217,7 +224,7 @@ def _check_hamiltonian(ctx: _Context):
 
 @_check("Eq.2", 1e-6, "phasespace.liouville_propagate",
         "total probability conserved along characteristics")
-def _check_mass_conservation(ctx: _Context):
+def _check_mass_conservation(ctx: _Context, rng):
     par = ctx.par
     grid = ctx.reference_grid
     density = phasespace.gaussian_density(grid, par, q0=1.0)
@@ -227,11 +234,11 @@ def _check_mass_conservation(ctx: _Context):
 
 @_check("Eq.3", 1e-8, "phasespace.hamilton_flow",
         "flow derivative matches the canonical equations of motion")
-def _check_hamilton_equations(ctx: _Context):
+def _check_hamilton_equations(ctx: _Context, rng):
     par = ctx.par
     h = 1e-5 / par.omega
     worst = 0.0
-    for qp in ctx.random_points(20):
+    for qp in _random_points(rng, 20):
         pt = PhasePoint(float(qp[0]), float(qp[1]))
         t0 = 0.37 / par.omega
         ahead = phasespace.hamilton_flow(pt, t0 + h, par)
@@ -246,7 +253,7 @@ def _check_hamilton_equations(ctx: _Context):
 
 @_check("Eq.4", 1e-6, "phasespace.liouville_propagate",
         "an energy-functional density is a fixed point of transport")
-def _check_stationary_density(ctx: _Context):
+def _check_stationary_density(ctx: _Context, rng):
     par = ctx.par
     grid = ctx.reference_grid
     density = phasespace.hamiltonian_gaussian(grid, par)
@@ -256,7 +263,7 @@ def _check_stationary_density(ctx: _Context):
 
 @_check("Eq.5", 1e-10, "wigner.wigner_forward",
         "forward/inverse offset transform is an exact discrete pair")
-def _check_transform_pair(ctx: _Context):
+def _check_transform_pair(ctx: _Context, rng):
     par = ctx.par
     grid = ctx.reference_grid
     density = phasespace.gaussian_density(grid, par, q0=1.0)
@@ -275,7 +282,7 @@ def _coherent_on_grid(ctx: _Context, t: float):
 @_check("Eq.6", 1e-4, "wigner.wavefunction_to_slice",
         "transformed transport equation on analytic coherent slices "
         "(time derivative by central difference)")
-def _check_slice_equation(ctx: _Context):
+def _check_slice_equation(ctx: _Context, rng):
     par = ctx.par
     grid = ctx.reference_grid
     t0 = 0.3 / par.omega
@@ -298,7 +305,7 @@ def _check_slice_equation(ctx: _Context):
 
 @_check("Eq.7", 1e-8, "wigner.wavefunction_to_slice",
         "two-point product of the ground state matches the closed form")
-def _check_product_form(ctx: _Context):
+def _check_product_form(ctx: _Context, rng):
     par = ctx.par
     grid = ctx.reference_grid
     state = schrodinger.hermite_eigenstate(0, grid.line, par)
@@ -310,10 +317,10 @@ def _check_product_form(ctx: _Context):
     return float(np.abs(rho.values - closed).max())
 
 
-def _random_state(ctx: _Context) -> schrodinger.WaveFunction:
+def _random_state(ctx: _Context, rng) -> schrodinger.WaveFunction:
     grid = ctx.line_grid
     k = wavenumbers(grid.n, grid.length)
-    spectrum = ctx.rng.normal(size=grid.n) + 1j * ctx.rng.normal(size=grid.n)
+    spectrum = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
     spectrum *= np.exp(-(k / 4.0) ** 2)
     values = np.fft.ifft(spectrum) * np.exp(-grid.q ** 2 / 4.0)
     phi = schrodinger.WaveFunction(grid, values, 0.0)
@@ -323,9 +330,9 @@ def _random_state(ctx: _Context) -> schrodinger.WaveFunction:
 
 @_check("Eq.8", 1e-12, "madelung.decompose",
         "amplitude-action split recomposes to the state up to global phase")
-def _check_polar_split(ctx: _Context):
+def _check_polar_split(ctx: _Context, rng):
     par = ctx.par
-    phi = _random_state(ctx)
+    phi = _random_state(ctx, rng)
     pair = madelung.decompose(phi, par)
     back = madelung.compose(pair, par)
     return abs(1.0 - phi.fidelity(back))
@@ -334,7 +341,7 @@ def _check_polar_split(ctx: _Context):
 @_check("Eq.9", 1e-8, "madelung.phase_gradient",
         "first-order offset term carries the probability current "
         "(cells above the node cutoff)")
-def _check_first_order_structure(ctx: _Context):
+def _check_first_order_structure(ctx: _Context, rng):
     par = ctx.par
     grid = ctx.reference_grid
     state = schrodinger.coherent_state(grid.line, par, 1.0, 0.7)
@@ -360,7 +367,7 @@ def _eigen_pairs(ctx: _Context, n: int, dt: float):
 
 @_check("Eq.10", 1e-5, "madelung.continuity_residual",
         "probability continuity on stationary eigenstate snapshots, n = 0..2")
-def _check_continuity(ctx: _Context):
+def _check_continuity(ctx: _Context, rng):
     par = ctx.par
     dt = 0.05 / par.omega
     worst = 0.0
@@ -374,7 +381,7 @@ def _check_continuity(ctx: _Context):
 
 @_check("Eq.11", 1e-5, "madelung.qhj_residual",
         "phase equation with the curvature term, eigenstates n = 0..2")
-def _check_quantum_hj(ctx: _Context):
+def _check_quantum_hj(ctx: _Context, rng):
     par = ctx.par
     worst = 0.0
     for n in (0, 1, 2):
@@ -388,7 +395,7 @@ def _check_quantum_hj(ctx: _Context):
 
 
 @_check("Eq.12", 1e-3, "schrodinger.equivalence_report")
-def _check_equivalence(ctx: _Context):
+def _check_equivalence(ctx: _Context, rng):
     par = ctx.par
     grid = ctx.grid
     state = schrodinger.coherent_state(grid.line, par, 1.0, 0.0)
@@ -411,11 +418,11 @@ def _mode_fields(par: PhysParams):
 
 @_check("Eq.13", 1e-6, "phasespace.poisson_bracket",
         "finite-difference bracket of the mode pair equals i/hbar")
-def _check_mode_bracket(ctx: _Context):
+def _check_mode_bracket(ctx: _Context, rng):
     par = ctx.par
     q1, p1 = _mode_fields(par)
     worst = 0.0
-    for qp in ctx.random_points(10):
+    for qp in _random_points(rng, 10):
         pt = PhasePoint(float(qp[0]), float(qp[1]))
         value = phasespace.poisson_bracket(q1, p1, pt)
         worst = max(worst, abs(value - 1j / par.hbar))
@@ -424,10 +431,10 @@ def _check_mode_bracket(ctx: _Context):
 
 @_check("Eq.14", 1e-12, "canonical.transformed_hamiltonian",
         "hbar*omega*q1*p1 equals the oscillator energy pointwise")
-def _check_transformed_hamiltonian(ctx: _Context):
+def _check_transformed_hamiltonian(ctx: _Context, rng):
     par = ctx.par
     worst = 0.0
-    for qp in ctx.random_points(1000):
+    for qp in _random_points(rng, 1000):
         pt = PhasePoint(float(qp[0]), float(qp[1]))
         energy = canonical.transformed_hamiltonian(canonical.to_normal_modes(pt, par), par)
         worst = max(worst, abs(energy - phasespace.hamiltonian(pt, par)))
@@ -436,7 +443,7 @@ def _check_transformed_hamiltonian(ctx: _Context):
 
 @_check("Eq.15", 1e-12, "madelung.transformed_liouville_residual",
         "written advection equation on its own characteristic solution")
-def _check_transformed_liouville(ctx: _Context):
+def _check_transformed_liouville(ctx: _Context, rng):
     par = ctx.par
     axis = np.linspace(-2.0, 2.0, 41)
     qq, pp = np.meshgrid(axis, axis, indexing="ij")
@@ -447,13 +454,13 @@ def _check_transformed_liouville(ctx: _Context):
 @_check("Eq.16", None, "canonical.literal_rate_residual",
         "written real rate vs the chain-rule rotation i*omega*q1 at |q1| = 1; "
         "the module implements the rotation")
-def _check_mode_rate(ctx: _Context):
+def _check_mode_rate(ctx: _Context, rng):
     return canonical.literal_rate_residual(np.exp(0.3j), ctx.par)
 
 
 @_check("Eq.17", 1e-10, "wigner.wigner_forward",
         "the transformed-coordinate definition reuses the same exact discrete pair")
-def _check_transformed_transform(ctx: _Context):
+def _check_transformed_transform(ctx: _Context, rng):
     par = ctx.par
     grid = ctx.reference_grid
     density = phasespace.hamiltonian_gaussian(grid, par, width=0.8)
@@ -463,7 +470,7 @@ def _check_transformed_transform(ctx: _Context):
 
 @_check("Eq.18", 1e-12, "madelung.transformed_slice_residual",
         "written two-point transport equation on a manufactured solution")
-def _check_transformed_slice_equation(ctx: _Context):
+def _check_transformed_slice_equation(ctx: _Context, rng):
     par = ctx.par
     axis = np.linspace(-2.0, 2.0, 41)
     qq, dd = np.meshgrid(axis, axis, indexing="ij")
@@ -479,7 +486,7 @@ def _segment_poly_values(poly: fock.BargmannPoly, positions, offsets):
 
 @_check("Eq.19", 1e-12, "fock.bargmann_eval",
         "two-point product in the transformed coordinate has the Hermitian mirror")
-def _check_transformed_product_form(ctx: _Context):
+def _check_transformed_product_form(ctx: _Context, rng):
     poly = fock.BargmannPoly([0.3 + 0.1j, 1.0, 0.0, 0.25j])
     positions = np.linspace(0.1, 4.0, 65)
     offsets = np.linspace(-1.5, 1.5, 31)
@@ -490,7 +497,7 @@ def _check_transformed_product_form(ctx: _Context):
 
 @_check("Eq.20", 1e-12, "fock.bargmann_eval",
         "amplitude-action form reconstructs the polynomial amplitude on the segment")
-def _check_transformed_polar_form(ctx: _Context):
+def _check_transformed_polar_form(ctx: _Context, rng):
     par = ctx.par
     poly = fock.BargmannPoly([0.5, 1.0, 0.2j])
     positions = np.linspace(0.1, 4.0, 257)
@@ -502,7 +509,7 @@ def _check_transformed_polar_form(ctx: _Context):
 
 
 @_check("Eq.21", None, "madelung.transformed_pair_residuals")
-def _check_transformed_continuity(ctx: _Context):
+def _check_transformed_continuity(ctx: _Context, rng):
     par = ctx.par
     res = madelung.transformed_pair_residuals(fock.monomial(0), 0.4 / par.omega, par)
     residual = float(np.abs(res.density_residual).max())
@@ -515,7 +522,7 @@ def _check_transformed_continuity(ctx: _Context):
 
 @_check("Eq.22", 1e-10, "madelung.transformed_pair_residuals",
         "phase equation vanishes for separable polynomial amplitudes")
-def _check_transformed_phase(ctx: _Context):
+def _check_transformed_phase(ctx: _Context, rng):
     par = ctx.par
     res = madelung.transformed_pair_residuals(fock.monomial(2), 0.4 / par.omega, par)
     return float(np.abs(res.phase_residual).max())
@@ -525,7 +532,7 @@ def _check_transformed_phase(ctx: _Context):
         "consistent transformed evolution equation along the mode-by-mode flow "
         "(time derivative by central difference)",
         convention=REPAIRED)
-def _check_transformed_schrodinger(ctx: _Context):
+def _check_transformed_schrodinger(ctx: _Context, rng):
     par = ctx.par
     poly = fock.BargmannPoly([0.6, 1.0, 0.0, 0.4j])
     positions = np.linspace(0.1, 4.0, 257)
@@ -544,7 +551,7 @@ def _check_transformed_schrodinger(ctx: _Context):
 @_check("Eq.23-literal", None, "fock.bargmann_evolve",
         "written -i*hbar derivative convention against the oscillating solution; "
         "its literal solution would have the real rate hbar*omega*(1/2 - n)")
-def _check_transformed_schrodinger_literal(ctx: _Context):
+def _check_transformed_schrodinger_literal(ctx: _Context, rng):
     par = ctx.par
     positions = np.linspace(0.1, 4.0, 257)
     worst = 0.0
@@ -561,7 +568,7 @@ def _check_transformed_schrodinger_literal(ctx: _Context):
 @_check("Eq.24", 1e-6, "fock.ladder_matrices",
         "matrix form with the commutator term drives the evolved state "
         "(time derivative by central difference)")
-def _check_operator_equation(ctx: _Context):
+def _check_operator_equation(ctx: _Context, rng):
     par = ctx.par
     dim = 16
     a, adag = fock.ladder_matrices(dim)
@@ -579,7 +586,7 @@ def _check_operator_equation(ctx: _Context):
         "creation as coordinate multiplication, annihilation as the derivative: "
         "unit commutator on the polynomial basis",
         convention=REPAIRED)
-def _check_ladder_identification(ctx: _Context):
+def _check_ladder_identification(ctx: _Context, rng):
     par = ctx.par
     worst = 0.0
     for n in range(0, 11):
@@ -607,7 +614,7 @@ def _written_commutator(par: PhysParams) -> complex:
 
 
 @_check("Eq.25-literal", None, "fock.annihilate_written_convention")
-def _check_ladder_identification_literal(ctx: _Context):
+def _check_ladder_identification_literal(ctx: _Context, rng):
     commutator = _written_commutator(ctx.par)
     return abs(commutator - 1.0), f"written convention gives commutator {commutator:.3f} instead of 1"
 
@@ -615,7 +622,7 @@ def _check_ladder_identification_literal(ctx: _Context):
 @_check("Eq.26", 1e-12, "fock.bargmann_apply",
         "monomial amplitudes are energy eigenfunctions of the transformed operator",
         convention=REPAIRED)
-def _check_solution_form(ctx: _Context):
+def _check_solution_form(ctx: _Context, rng):
     par = ctx.par
     worst = 0.0
     for n in range(0, 41):
@@ -626,7 +633,7 @@ def _check_solution_form(ctx: _Context):
 
 
 @_check("Eq.27", 1e-12, "fock.ho_spectrum", convention=REPAIRED)
-def _check_spectrum(ctx: _Context):
+def _check_spectrum(ctx: _Context, rng):
     par = ctx.par
     truncation = ctx.config.truncation
     spectrum = fock.ho_spectrum(truncation, par)
@@ -639,20 +646,23 @@ def _check_spectrum(ctx: _Context):
 @_check("Eq.28", 1e-12, "fock.number_state",
         "repeated creation on the vacuum: single component sqrt(n!) "
         "(relative deviation)")
-def _check_number_states(ctx: _Context):
+def _check_number_states(ctx: _Context, rng):
     worst = 0.0
     dim = 16
+    _, adag = fock.ladder_matrices(dim)
+    created = np.zeros(dim, dtype=np.complex128)
+    created[0] = 1.0
     for n in range(0, 13):
         state = fock.number_state(n, dim)
-        expected = math.sqrt(math.factorial(n))
-        worst = max(worst, abs(state[n] / expected - 1.0))
-        worst = max(worst, float(np.abs(np.delete(state, n)).max()))
+        worst = max(worst, abs(created[n] / state[n] - 1.0))
+        worst = max(worst, float(np.abs(np.delete(created - state, n)).max()))
+        created = adag @ created
     return worst
 
 
 @_check("Eq.29", 1e-12, "canonical.phase_angle",
         "cosine/sine split is consistent on the unit energy shell")
-def _check_angle_definition(ctx: _Context):
+def _check_angle_definition(ctx: _Context, rng):
     par = ctx.par
     worst = 0.0
     for theta in np.linspace(-3.0, 3.0, 13):
@@ -666,10 +676,10 @@ def _check_angle_definition(ctx: _Context):
 
 @_check("Eq.30", 1e-10, "canonical.phase_angle",
         "tangent of the resolved angle reproduces m*omega*q/p")
-def _check_tangent(ctx: _Context):
+def _check_tangent(ctx: _Context, rng):
     par = ctx.par
     worst = 0.0
-    for qp in ctx.random_points(50):
+    for qp in _random_points(rng, 50):
         pt = PhasePoint(float(qp[0]), float(qp[1]) + 3.0)  # keep p away from zero
         theta = canonical.phase_angle(pt, par)
         worst = max(worst, abs(math.tan(theta) * pt.p - par.m * par.omega * pt.q) / max(1.0, abs(pt.p)))
@@ -678,13 +688,13 @@ def _check_tangent(ctx: _Context):
 
 @_check("Eq.30a", 1e-12, "phasespace.hamilton_flow",
         "closed-form flow matches the amplitude-phase solution")
-def _check_classical_solution(ctx: _Context):
+def _check_classical_solution(ctx: _Context, rng):
     par = ctx.par
     worst = 0.0
     for _ in range(20):
-        energy = float(ctx.rng.uniform(0.2, 4.0))
-        theta = float(ctx.rng.uniform(-np.pi, np.pi))
-        t = float(ctx.rng.uniform(0.0, 7.0))
+        energy = float(rng.uniform(0.2, 4.0))
+        theta = float(rng.uniform(-np.pi, np.pi))
+        t = float(rng.uniform(0.0, 7.0))
         amp_p = math.sqrt(2.0 * par.m * energy)
         amp_q = math.sqrt(2.0 * energy / (par.m * par.omega ** 2))
         start = PhasePoint(amp_q * math.sin(theta), amp_p * math.cos(theta))
@@ -696,7 +706,7 @@ def _check_classical_solution(ctx: _Context):
 
 @_check("Eq.31", 1e-12, "canonical.to_normal_modes",
         "the mode coordinate is the unit phase factor on the shell")
-def _check_shell_value(ctx: _Context):
+def _check_shell_value(ctx: _Context, rng):
     par = ctx.par
     worst = 0.0
     for theta in np.linspace(-3.0, 3.0, 13):
@@ -708,7 +718,7 @@ def _check_shell_value(ctx: _Context):
 
 @_check("Eq.32", 1e-12, "fock.bargmann_eval",
         "monomial amplitudes restrict to circle waves e^{i n theta}")
-def _check_circle_waves(ctx: _Context):
+def _check_circle_waves(ctx: _Context, rng):
     theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     worst = 0.0
     for n in range(0, 11):
@@ -720,7 +730,7 @@ def _check_circle_waves(ctx: _Context):
 @_check("Eq.33", 1e-12, "fock.phase_circle_action",
         "raising/lowering shifts the circle wave index by one "
         "(integer lowering factor divided out)")
-def _check_circle_ladder(ctx: _Context):
+def _check_circle_ladder(ctx: _Context, rng):
     theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     worst = 0.0
     for n in range(0, 11):
@@ -735,7 +745,7 @@ def _check_circle_ladder(ctx: _Context):
 
 @_check("Eq.34", 1e-12, "spin.spin_functions",
         "quadratic spin functions evaluated against direct substitution")
-def _check_spin_definitions(ctx: _Context):
+def _check_spin_definitions(ctx: _Context, rng):
     par = ctx.par
     values = spin.spin_functions(spin.Phase4Point(1.0, 0.0, 0.0, 1.0), PhysParams(1.0, 1.0, par.hbar))
     worst = max(abs(values.s0 - 1.0), abs(values.s1), abs(values.s2), abs(values.s3 - 0.5))
@@ -745,9 +755,9 @@ def _check_spin_definitions(ctx: _Context):
 
 @_check("Eq.35", 1e-12, "spin.spin_functions",
         "sphere constraint S1^2+S2^2+S3^2 = S0^2/4 at 1000 random points")
-def _check_casimir(ctx: _Context):
+def _check_casimir(ctx: _Context, rng):
     par = ctx.par
-    pts = ctx.rng.normal(scale=1.5, size=(1000, 4))
+    pts = rng.normal(scale=1.5, size=(1000, 4))
     worst = 0.0
     for row in pts:
         s = spin.spin_functions(spin.Phase4Point(*map(float, row)), par)
@@ -759,7 +769,7 @@ def _check_casimir(ctx: _Context):
         "the combination sqrt(alpha/beta) = m*omega is adopted as the "
         "definition of the mass-frequency scale; the separate symbols are "
         "not exposed by this artifact")
-def _check_scale_definition(ctx: _Context):
+def _check_scale_definition(ctx: _Context, rng):
     return 0.0
 
 
@@ -772,7 +782,7 @@ def _spin_diag(ctx: _Context):
 
 @_check("Eq.37", 1e-12, "spin.two_mode_operators",
         "the total-intensity operator is diagonal with integer hbar multiples")
-def _check_s0_eigenproblem(ctx: _Context):
+def _check_s0_eigenproblem(ctx: _Context, rng):
     ops, hb, _, _, s0_diag = _spin_diag(ctx)
     off = ops.s0 - np.diag(np.diag(ops.s0))
     lam = s0_diag / hb
@@ -786,7 +796,7 @@ def _squared_spin(ops, hb):
 
 @_check("Eq.38", 1e-12, "spin.two_mode_operators",
         "squared spin carries ((lambda-1)/2)((lambda+1)/2) on each eigenvector")
-def _check_lambda_eigenvalue(ctx: _Context):
+def _check_lambda_eigenvalue(ctx: _Context, rng):
     ops, hb, _, _, s0_diag = _spin_diag(ctx)
     s_sq = _squared_spin(ops, hb)
     lam = s0_diag / hb
@@ -796,7 +806,7 @@ def _check_lambda_eigenvalue(ctx: _Context):
 
 @_check("Eq.38a", 1e-12, "spin.two_mode_operators",
         "quarter-square shift identity between the primed and unprimed squares")
-def _check_shift_identity(ctx: _Context):
+def _check_shift_identity(ctx: _Context, rng):
     ops, hb, _, n_diag, _ = _spin_diag(ctx)
     s_sq = _squared_spin(ops, hb)
     expected = hb ** 2 * (n_diag / 2.0) * (n_diag / 2.0 + 1.0)
@@ -805,7 +815,7 @@ def _check_shift_identity(ctx: _Context):
 
 @_check("Eq.39", 1e-12, "spin.two_mode_operators",
         "squared-spin law hbar^2 (N/2)(N/2+1) across complete sectors")
-def _check_number_eigenvalue_law(ctx: _Context):
+def _check_number_eigenvalue_law(ctx: _Context, rng):
     ops, hb, _, n_diag, _ = _spin_diag(ctx)
     s_sq = _squared_spin(ops, hb)
     residual = 0.0
@@ -817,7 +827,7 @@ def _check_number_eigenvalue_law(ctx: _Context):
 
 
 @_check("Eq.40", 1e-12, "spin.lambda_relation", "N = lambda - 1 relabelling is exact")
-def _check_lambda_shift(ctx: _Context):
+def _check_lambda_shift(ctx: _Context, rng):
     par = ctx.par
     worst = 0.0
     for lam in range(1, 9):
@@ -836,7 +846,7 @@ def _mode4_fields(par: PhysParams):
 
 @_check("Eq.41", 1e-6, "spin.two_mode_transform",
         "first-axis mode pair has bracket i/hbar (finite differences)")
-def _check_mode1_transform(ctx: _Context):
+def _check_mode1_transform(ctx: _Context, rng):
     par = ctx.par
     q1, p1, _, _ = _mode4_fields(par)
     pt = spin.Phase4Point(0.4, -0.3, 0.8, 0.5)
@@ -845,7 +855,7 @@ def _check_mode1_transform(ctx: _Context):
 
 @_check("Eq.42", 1e-6, "spin.two_mode_transform",
         "second-axis pair has bracket i/hbar and the axes decouple")
-def _check_mode2_transform(ctx: _Context):
+def _check_mode2_transform(ctx: _Context, rng):
     par = ctx.par
     q1, _, q2, p2 = _mode4_fields(par)
     pt = spin.Phase4Point(-0.6, 0.2, 0.1, 0.9)
@@ -853,9 +863,9 @@ def _check_mode2_transform(ctx: _Context):
     return max(residual, abs(phasespace.poisson_bracket(q1, q2, pt)))
 
 
-def _transformed_samples(ctx: _Context):
+def _transformed_samples(ctx: _Context, rng):
     par = ctx.par
-    pts = ctx.rng.normal(scale=1.5, size=(100, 4))
+    pts = rng.normal(scale=1.5, size=(100, 4))
     for row in pts:
         pt = spin.Phase4Point(*map(float, row))
         original = spin.spin_functions(pt, par)
@@ -865,22 +875,22 @@ def _transformed_samples(ctx: _Context):
 
 @_check("Eq.43", 1e-10, "spin.transformed_spin_functions",
         "total intensity is preserved by the per-axis mode map")
-def _check_s0_transform(ctx: _Context):
-    return max(abs(t.s0 - o.s0) for o, t in _transformed_samples(ctx))
+def _check_s0_transform(ctx: _Context, rng):
+    return max(abs(t.s0 - o.s0) for o, t in _transformed_samples(ctx, rng))
 
 
 @_check("Eq.44", 1e-10, "spin.transformed_spin_functions",
         "the mode-difference clause holds; the written same-mode-squares "
         "clause is measured by Eq.44-literal")
-def _check_s2_transform(ctx: _Context):
-    return max(abs(t.s2 - o.s2) for o, t in _transformed_samples(ctx))
+def _check_s2_transform(ctx: _Context, rng):
+    return max(abs(t.s2 - o.s2) for o, t in _transformed_samples(ctx, rng))
 
 
 @_check("Eq.44-literal", None, "spin.transformed_spin_functions")
-def _check_s1_transform_literal(ctx: _Context):
+def _check_s1_transform_literal(ctx: _Context, rng):
     worst_written = 0.0
     worst_cross = 0.0
-    for o, t in _transformed_samples(ctx):
+    for o, t in _transformed_samples(ctx, rng):
         worst_written = max(worst_written, abs(t.s1_written - o.s1))
         worst_cross = max(worst_cross, abs(t.s1_cross - o.s1))
     written_defect, cross_defect = spin.su2_closure_defects(6, ctx.par)
@@ -895,15 +905,15 @@ def _check_s1_transform_literal(ctx: _Context):
 
 @_check("Eq.45", 1e-10, "spin.transformed_spin_functions",
         "the cross-mode third component survives the transform")
-def _check_s3_transform(ctx: _Context):
-    return max(abs(t.s3 - o.s3) for o, t in _transformed_samples(ctx))
+def _check_s3_transform(ctx: _Context, rng):
+    return max(abs(t.s3 - o.s3) for o, t in _transformed_samples(ctx, rng))
 
 
 @_check("Eq.46", 1e-10, "spin.transformed_spin_functions",
         "the chosen commuting pair (S2', S0') matches the original functions")
-def _check_diagonal_pair(ctx: _Context):
+def _check_diagonal_pair(ctx: _Context, rng):
     worst = 0.0
-    for o, t in _transformed_samples(ctx):
+    for o, t in _transformed_samples(ctx, rng):
         worst = max(worst, abs(t.s2 - o.s2), abs(t.s0 - o.s0))
     return worst
 
@@ -911,7 +921,7 @@ def _check_diagonal_pair(ctx: _Context):
 @_check("Eq.47", 1e-12, "spin.two_mode_operators",
         "mode-difference and total-intensity operators act as printed, "
         "including the vacuum term")
-def _check_quantized_pair(ctx: _Context):
+def _check_quantized_pair(ctx: _Context, rng):
     ops, hb, dim, _, _ = _spin_diag(ctx)
     one_zero = spin.spin_eigenvector(1, 0, dim)
     vacuum = spin.spin_eigenvector(0, 0, dim)
@@ -922,7 +932,7 @@ def _check_quantized_pair(ctx: _Context):
 @_check("Eq.48", 1e-12, "fock.ladder_matrices",
         "unit commutators per mode on the valid subspace, cross-mode terms vanish",
         convention=REPAIRED)
-def _check_two_mode_commutators(ctx: _Context):
+def _check_two_mode_commutators(ctx: _Context, rng):
     dim = SPIN_DIM
     a1, c1, a2, c2 = spin.mode_matrices(dim)
     eye = np.eye(dim * dim)
@@ -935,7 +945,7 @@ def _check_two_mode_commutators(ctx: _Context):
 @_check("Eq.48-literal", None, "fock.annihilate_written_convention",
         "the written -i*hbar derivative convention gives per-mode commutator "
         "-i*hbar instead of 1")
-def _check_two_mode_commutators_literal(ctx: _Context):
+def _check_two_mode_commutators_literal(ctx: _Context, rng):
     return abs(_written_commutator(ctx.par) - 1.0)
 
 
@@ -943,14 +953,14 @@ def _check_two_mode_commutators_literal(ctx: _Context):
         "total number operator kept dimensionless (the written form carries a "
         "stray hbar); integer spectrum",
         convention=REPAIRED)
-def _check_number_operator(ctx: _Context):
+def _check_number_operator(ctx: _Context, rng):
     ops, _, _, n_diag, _ = _spin_diag(ctx)
     off = ops.number - np.diag(np.diag(ops.number))
     return max(float(np.abs(off).max()), float(np.abs(n_diag - np.round(n_diag)).max()))
 
 
 @_check("Eq.50", 1e-12, "spin.two_mode_operators", "N = lambda - 1 at the operator level")
-def _check_lambda_operator_shift(ctx: _Context):
+def _check_lambda_operator_shift(ctx: _Context, rng):
     ops, hb, _, n_diag, s0_diag = _spin_diag(ctx)
     return float(np.abs((s0_diag / hb - 1.0) - n_diag).max())
 
@@ -959,7 +969,7 @@ def _check_lambda_operator_shift(ctx: _Context):
         "joint (number, S2') spectra match the sector enumeration at "
         "truncation 8, half-integral rows included",
         convention=REPAIRED)
-def _check_joint_spectrum(ctx: _Context):
+def _check_joint_spectrum(ctx: _Context, rng):
     dim = SPIN_DIM
     rows = spin.spin_spectrum(dim)
     residual = 0.0
@@ -977,7 +987,7 @@ def _check_joint_spectrum(ctx: _Context):
 
 @_check("Eq.52", 1e-9, "spin.spin_eigenvector",
         "repeated creation builds the joint eigenvectors with sqrt(n1! n2!) weight")
-def _check_tensor_eigenvectors(ctx: _Context):
+def _check_tensor_eigenvectors(ctx: _Context, rng):
     ops, hb, dim, _, _ = _spin_diag(ctx)
     state = spin.spin_eigenvector(2, 1, dim)
     index = 2 * dim + 1

@@ -105,6 +105,21 @@ def test_uniform_fields_give_zero():
     assert _masked_max(res) == 0.0
 
 
+@pytest.mark.parametrize("amplitude, action, message", [
+    (np.nan, 0.0, "amplitude must be finite"),
+    (1.0, np.inf, "action must be finite"),
+    (-1.0, 0.0, "amplitude must be nonnegative"),
+], ids=["nan-amplitude", "infinite-action", "negative-amplitude"])
+def test_pair_admits_only_finite_fields_and_a_nonnegative_amplitude(amplitude, action, message):
+    ring = ps.PositionGrid(0.0, 2.0 * np.pi, 128)
+    amplitudes, actions = np.ones(128), np.zeros(128)
+    amplitudes[7], actions[7] = amplitude, action
+    with pytest.raises(ValueError, match=message):
+        md.MadelungPair(ring, amplitudes, actions)
+    with pytest.raises(ValueError, match="does not match grid"):
+        md.MadelungPair(ring, np.ones(127), np.zeros(128))
+
+
 def test_grid_mismatch_rejected():
     other = ps.PositionGrid(-8.0, 8.0, 256)
     a = md.decompose(sc.hermite_eigenstate(0, GRID, PAR), PAR)

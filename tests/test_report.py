@@ -57,6 +57,30 @@ def test_entry_calls_its_declared_operation(check, monkeypatch):
     assert calls, f"{check.equation_id} never calls {check.module}.{check.operation}"
 
 
+def _measured(entries):
+    return {entry.equation_id: (entry.residual, entry.status, entry.detail) for entry in entries}
+
+
+@pytest.fixture(scope="module")
+def forward():
+    return _measured(report.run_suite(report.SuiteConfig()))
+
+
+def test_entries_measure_the_same_in_reverse_order(forward, monkeypatch):
+    monkeypatch.setattr(report, "_CHECKS", report._CHECKS[::-1])
+    backward = report.run_suite(report.SuiteConfig())
+    assert [entry.equation_id for entry in backward] == list(forward)[::-1]
+    assert _measured(backward) == forward
+
+
+@pytest.mark.parametrize("check", report._CHECKS, ids=lambda check: check.equation_id)
+def test_entry_run_alone_measures_its_suite_residual(check, forward):
+    result = check.run(report._Context(report.SuiteConfig()))
+    residual = result[0] if isinstance(result, tuple) else result
+    residual_in_suite, _, _ = forward[check.equation_id]
+    assert float(residual) == residual_in_suite
+
+
 def test_config_block_has_four_fields():
     assert set(report.SuiteConfig().as_dict()) == {"params", "grid", "truncation", "seed"}
 
