@@ -132,7 +132,12 @@ def bargmann_eval(poly: BargmannPoly, z) -> np.ndarray:
 
 
 def fock_state_from_poly(poly: BargmannPoly, dim: int) -> np.ndarray:
-    """Natural isomorphism: the degree-n monomial maps to sqrt(n!) at index n."""
+    """Natural isomorphism: the degree-n monomial maps to sqrt(n!) at index n.
+
+    Degrees above MAX_DEGREE are refused, as creation refuses them; 128! is
+    3.9e215, so every n! converts to a float (171! would not)."""
+    if poly.degree > MAX_DEGREE:
+        raise DegreeOverflow(f"degree {poly.degree} exceeds maximum {MAX_DEGREE}")
     if poly.degree >= dim:
         raise OutOfTruncation(f"degree {poly.degree} does not fit in truncation {dim}")
     vec = np.zeros(dim, dtype=np.complex128)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _spectral, fock
 from .errors import AllZero, GridMismatch
-from .phasespace import PhysParams, PositionGrid, field_values
+from .phasespace import PhysParams, PositionGrid, field_values, hamiltonian
 from .schrodinger import WaveFunction
 
 NODE_EPSILON_FACTOR = 1e-3
@@ -158,7 +158,7 @@ def qhj_residual(pair: MadelungPair, dSdt, par: PhysParams) -> ResidualField:
     """
     grid = pair.grid
     s_grad = phase_gradient(pair, par)
-    potential = 0.5 * par.m * par.omega ** 2 * grid.q ** 2
+    potential = hamiltonian(grid.q, 0.0, par)
     rate = np.broadcast_to(np.asarray(dSdt, dtype=np.float64), (grid.n,))
     values = rate + s_grad ** 2 / (2.0 * par.m) + quantum_potential(pair, par) + potential
     return ResidualField(grid, values, pair.valid_mask())

@@ -167,9 +167,9 @@ class PhaseDensity:
 # operations
 # ---------------------------------------------------------------------------
 
-def hamiltonian(pt: PhasePoint, par: PhysParams) -> float:
-    """Quadratic oscillator energy p^2/2m + m w^2 q^2 / 2."""
-    return pt.p ** 2 / (2.0 * par.m) + 0.5 * par.m * par.omega ** 2 * pt.q ** 2
+def hamiltonian(q, p, par: PhysParams):
+    """Quadratic oscillator energy p^2/2m + m w^2 q^2 / 2 at scalars or arrays."""
+    return p ** 2 / (2.0 * par.m) + 0.5 * par.m * par.omega ** 2 * q ** 2
 
 
 def hamilton_flow(pt: PhasePoint, t: float, par: PhysParams) -> PhasePoint:
@@ -273,8 +273,7 @@ def gaussian_density(grid: PhaseGrid, par: PhysParams, q0: float, p0: float = 0.
 
 def hamiltonian_gaussian(grid: PhaseGrid, par: PhysParams, width: float = 1.0) -> PhaseDensity:
     """Stationary density proportional to exp(-H / (width * hbar * omega))."""
-    qm, pm = grid.meshes()
-    h = pm ** 2 / (2.0 * par.m) + 0.5 * par.m * par.omega ** 2 * qm ** 2
+    h = hamiltonian(*grid.meshes(), par)
     values = np.exp(-h / (width * par.hbar * par.omega))
     density = PhaseDensity(grid, values, 0.0)
     return PhaseDensity(grid, values / density.mass(), 0.0)

@@ -18,7 +18,7 @@ import numpy as np
 from . import _spectral
 from .errors import BoundaryLeak, DomainError, GridMismatch, GridTooNarrow, NormDrift
 from .phasespace import (PhaseDensity, PhaseGrid, PhysParams, PositionGrid, field_values,
-                         liouville_propagate)
+                         hamiltonian, liouville_propagate)
 
 # Edge-to-peak guard used by constructors and the evolver.  The 64-point
 # reference configuration puts a legitimate coherent state at edge ratio
@@ -105,18 +105,21 @@ PHASE_LIMIT = sys.float_info.max / 2
 def step_phase_bound(extent: float, n: int, par: PhysParams) -> float:
     """Largest phase split_step_evolve can form on [-extent, extent) with n points.
 
-    The accuracy floor caps every step at a fortieth of a period, and the
-    potential and kinetic phases grow with the step, |q| and |k|.  Both are
-    formed in the evolver's own order, so a product that overflows there
-    reads inf or nan here.
+    At the floor's largest step, a fortieth of a period, the evolver takes half
+    a step of the potential and a whole step of the kinetic energy.  Both are
+    formed in float64, so a term that overflows reads inf or nan, never raises.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        m, omega, hbar, q = (np.float64(v) for v in (par.m, par.omega, par.hbar, extent))
-        dt = 2.0 * np.pi / (40.0 * omega)
-        k = np.pi * n / (2.0 * q)  # the window's Nyquist wavenumber
-        potential = 0.25 * m * omega ** 2 * q ** 2 * dt / hbar
-        kinetic = 0.5 * hbar * k ** 2 * dt / m
-        return float(np.maximum(potential, kinetic))
+        par = PhysParams(*(np.float64(v) for v in (par.m, par.omega, par.hbar)))
+        potential, kinetic = hamiltonian_terms(PositionGrid(-extent, extent, n), par)
+        dt = 2.0 * np.pi / (40.0 * par.omega)
+        return float(np.maximum(0.5 * potential.max(), kinetic.max()) * dt / par.hbar)
+
+
+def hamiltonian_terms(grid: PositionGrid, par: PhysParams):
+    """The Strang split's terms: the potential on grid.q, the kinetic energy on its wavenumbers."""
+    k = _spectral.wavenumbers(grid.n, grid.length)
+    return hamiltonian(grid.q, 0.0, par), hamiltonian(0.0, par.hbar * k, par)
 
 
 def coherent_state(grid: PositionGrid, par: PhysParams, q0: float, p0: float) -> WaveFunction:
@@ -144,9 +147,9 @@ def split_step_evolve(
         raise ValueError(f"n_steps={n_steps} below the accuracy floor {required} for t={t}")
     grid = phi.grid
     dt = t / n_steps
-    k = _spectral.wavenumbers(grid.n, grid.length)
-    half_potential = np.exp(-0.25j * par.m * par.omega ** 2 * grid.q ** 2 * dt / par.hbar)
-    kinetic = np.exp(-0.5j * par.hbar * k ** 2 * dt / par.m)
+    potential, kinetic = hamiltonian_terms(grid, par)
+    half_potential = np.exp(-0.5j * potential * dt / par.hbar)
+    kinetic = np.exp(-1j * kinetic * dt / par.hbar)
     values = phi.values.copy()
     initial_norm = np.sqrt(np.sum(np.abs(values) ** 2))
     for _ in range(n_steps):

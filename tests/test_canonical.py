@@ -54,7 +54,7 @@ def test_transformed_hamiltonian_identity():
         for _ in range(1000):
             pt = ps.PhasePoint(*rng.normal(scale=2.0, size=2))
             energy = cn.transformed_hamiltonian(cn.to_normal_modes(pt, par), par)
-            assert abs(energy - ps.hamiltonian(pt, par)) < 1e-12
+            assert abs(energy - ps.hamiltonian(pt.q, pt.p, par)) < 1e-12
 
 
 def test_transformed_hamiltonian_example_values():
@@ -111,7 +111,7 @@ def test_angle_range_half_open():
 def test_shell_coordinate_is_unit_phase():
     for theta in np.linspace(-3.0, 3.0, 15):
         pt = cn.shell_point(theta, PAR)
-        assert ps.hamiltonian(pt, PAR) == pytest.approx(PAR.hbar * PAR.omega, abs=1e-14)
+        assert ps.hamiltonian(pt.q, pt.p, PAR) == pytest.approx(PAR.hbar * PAR.omega, abs=1e-14)
         q1 = cn.to_normal_modes(pt, PAR).q1
         assert abs(q1 - np.exp(1j * theta)) < 1e-12
 

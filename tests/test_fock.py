@@ -154,6 +154,15 @@ def test_degree_overflow_guard():
         fock.bargmann_apply("create", fock.monomial(fock.MAX_DEGREE), PAR)
 
 
+def test_number_state_holds_the_largest_degree_and_refuses_the_next():
+    assert fock.number_state(128, 129)[128] == math.sqrt(math.factorial(128))
+    with pytest.raises(DegreeOverflow):
+        fock.number_state(fock.MAX_DEGREE + 1, fock.MAX_DEGREE + 2)
+    # 171! no longer converts to a float
+    with pytest.raises(DegreeOverflow):
+        fock.fock_state_from_poly(fock.monomial(171), 172)
+
+
 def test_evolution_phase_on_monomials():
     t = 0.8
     for n in (0, 2, 5):

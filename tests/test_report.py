@@ -8,7 +8,7 @@ import types
 
 import pytest
 
-from phaseq import report, spin
+from phaseq import phasespace, report, schrodinger, spin
 
 _ID = re.compile(r"Eq\.(\d+)([a-z]*)(-literal)?")
 
@@ -99,14 +99,16 @@ def _check_of(equation_id):
     return next(check for check in report._CHECKS if check.equation_id == equation_id)
 
 
-def test_spectrum_entry_is_exact_at_the_largest_truncation():
-    # one ulp of the top trusted level, 8 * 2046.5, is 1.8e-12, above the 1e-12 gate
+def test_spectrum_entry_passes_at_the_largest_truncation():
+    # one ulp of the top trusted level, 8 * 2046.5, is 1.8e-12, above the 1e-12
+    # gate; the entry compares the lowest 63 levels, in units of hbar*omega
     config = report.SuiteConfig.from_mapping(
         {"truncation": 2048, "params": {"m": 0.125, "omega": 8, "hbar": 1}}
     )
     check = _check_of("Eq.27")
-    residual, _ = check.run(report._Context(config))
-    assert residual == 0.0 < check.threshold
+    residual, detail = check.run(report._Context(config))
+    assert residual < check.threshold
+    assert detail.startswith("lowest 63 levels")
 
 
 def test_joint_spectrum_entry_audits_the_rows_in_exported_order(monkeypatch):
@@ -142,3 +144,33 @@ def test_a_drifted_lambda_relation_fails_its_entry_without_aborting(monkeypatch)
     entry = next(e for e in entries if e.equation_id == "Eq.40")
     assert entry.residual >= entry.threshold
     assert entry.status == report.FAIL
+
+
+# Unit placements that natural units cannot see: each mutant equals the original
+# at m = omega = hbar = 1.
+OFF_NATURAL = report.SuiteConfig(params=phasespace.PhysParams(2.54, 0.41, 0.28))
+
+
+def _passes(equation_id, config):
+    check = _check_of(equation_id)
+    result = check.run(report._Context(config))
+    residual = result[0] if isinstance(result, tuple) else result
+    return residual < check.threshold
+
+
+@pytest.mark.parametrize("module, original, replacement, name, equation_ids", [
+    pytest.param(phasespace, "0.5 * par.m * par.omega", "0.5 * par.m ** 2 * par.omega",
+                 "hamiltonian", ["Eq.1", "Eq.27"], id="m-squared-potential"),
+    pytest.param(schrodinger, "hamiltonian(0.0, par.hbar * k, par)", "hamiltonian(0.0, k, par)",
+                 "hamiltonian_terms", ["Eq.27"], id="kinetic-without-hbar"),
+])
+def test_a_unit_mutant_fails_its_entries_off_natural_units(
+        monkeypatch, module, original, replacement, name, equation_ids):
+    for config in (report.SuiteConfig(), OFF_NATURAL):
+        assert all(_passes(equation_id, config) for equation_id in equation_ids)
+    mutated = getattr(_mutant(monkeypatch, module, original, replacement), name)
+    unmutated = getattr(module, name)
+    for key, bound in list(sys.modules.items()):
+        if key.startswith("phaseq.") and getattr(bound, name, None) is unmutated:
+            monkeypatch.setattr(bound, name, mutated)
+    assert not any(_passes(equation_id, OFF_NATURAL) for equation_id in equation_ids)
