@@ -9,7 +9,8 @@ state pairs with the densities of the phase grid whose q axis it samples,
 For the oscillator, Liouville transport is a rigid rotation of (q, p/m w).
 Propagation factors that rotation into shears, and each shear translates
 every grid line by a Fourier phase ramp: there is no time-stepping error,
-and the transport is exact for band-limited densities.
+and the transport is exact for band-limited densities.  On a lattice that
+a quarter turn maps onto itself, whole quarter turns are index maps.
 """
 
 from __future__ import annotations
@@ -192,6 +193,30 @@ def frame_mass(density: PhaseDensity) -> float:
     return float(total * density.grid.dq * density.grid.dp)
 
 
+def _quarter_turned(values: np.ndarray, quarters: int) -> np.ndarray:
+    """A copy of values on a square lattice turned clockwise by whole quarter turns.
+
+    Index i on either axis sits at -L + i d, so a turn maps it to n - i:
+    the line at -L lands on +L, just outside the window, and the line
+    that would come from there is zeroed, as a shear masks it.
+    """
+    quarters %= 4
+    if quarters == 0:
+        return np.array(values)
+    out = np.empty(values.shape)
+    if quarters == 1:  # the image at (q, v) is the density at (-v, q)
+        out[:, 0] = 0.0
+        out[:, 1:] = values[:0:-1, :].T
+    elif quarters == 2:  # ... at (-q, -v)
+        out[0, :] = 0.0
+        out[1:, 0] = 0.0
+        out[1:, 1:] = values[:0:-1, :0:-1]
+    else:  # ... at (v, -q)
+        out[0, :] = 0.0
+        out[1:, :] = values[:, :0:-1].T
+    return out
+
+
 def liouville_propagate(f: PhaseDensity, t: float, par: PhysParams) -> PhaseDensity:
     """Transport a density along the flow for time t.
 
@@ -203,14 +228,23 @@ def liouville_propagate(f: PhaseDensity, t: float, par: PhysParams) -> PhaseDens
     spectral phase ramp, exact for band-limited densities; content pushed
     out of the window is dropped rather than wrapped, so the density stays
     zero outside its grid.
+
+    Where the v lattice is the q lattice (a square grid over [-L, L) in
+    both q and v), the nearest whole quarter turns are first taken exactly
+    as an index map, and only the remaining |a| <= pi/4 is sheared: every
+    angle then costs at most one sub-rotation.
     """
     grid = f.grid
     theta = math.remainder(par.omega * t, 2.0 * math.pi)
+    mw = par.m * par.omega
+    square = (grid.n_q == grid.n_p and grid.q_min == -grid.q_max
+              and grid.p_max == mw * grid.q_max and grid.p_min == mw * grid.q_min)
+    quarters = round(theta / (math.pi / 2.0)) if square else 0
+    theta -= quarters * (math.pi / 2.0)
     turns = math.ceil(abs(theta) / (math.pi / 4.0))
-    new_values = np.array(f.values)
+    new_values = _quarter_turned(f.values, quarters)
     if turns:
         a = theta / turns
-        mw = par.m * par.omega
         # a shear moving q by b v samples the density at q - b v
         shear_q = _spectral.shear(
             grid.n_q, grid.q_max - grid.q_min, -math.tan(0.5 * a) * grid.p / mw, axis=0

@@ -122,15 +122,36 @@ class SuiteConfig:
         return SuiteConfig(params, extent, points, truncation, seed)
 
     def grid(self) -> phasespace.PhaseGrid:
-        """The configured phase grid, refused where the split-step phase overflows.
+        """The configured phase grid, refused where the split-step phase overflows
+        or where an oscillator scale, or the grid in those scales, is not a
+        normal float64: zero, subnormal or infinite scales make fields that
+        are not finite.
 
-        Only verify and evolve build the grid, so only they make this check."""
+        Only verify and evolve build the grid, so only they make these checks."""
         extent, points, par = self.grid_extent, self.grid_points, self.params
         if not schrodinger.step_phase_bound(extent, points, par) <= schrodinger.PHASE_LIMIT:
             raise ConfigError(
                 f"grid extent {extent:g} at n {points} overflows the split-step phase "
                 f"for m {par.m:g}, omega {par.omega:g}, hbar {par.hbar:g}"
             )
+        with np.errstate(all="ignore"):  # a zero or infinite scale is refused below
+            hbar, mw = np.float64(par.hbar), np.float64(par.m) * par.omega
+            length, momentum = np.sqrt(hbar / mw), np.sqrt(hbar * mw)
+            scales = {
+                "hbar omega": hbar * par.omega,
+                "hbar/(m omega)": hbar / mw,
+                "hbar m omega": hbar * mw,
+                "oscillator length": length,
+                "oscillator momentum": momentum,
+                "extent/length": extent / length,
+                "extent/momentum": extent / momentum,
+            }
+        for name, value in scales.items():
+            if not sys.float_info.min <= value <= sys.float_info.max:
+                raise ConfigError(
+                    f"{name} is {value:g}, not a normal float64, for m {par.m:g}, "
+                    f"omega {par.omega:g}, hbar {par.hbar:g} and grid extent {extent:g}"
+                )
         return phasespace.default_grid(extent, points)
 
     def as_dict(self) -> dict:

@@ -93,6 +93,19 @@ MALFORMED = [
     pytest.param("verify", TINY_MASS, [], "overflows the split-step phase", id="verify-tiny-m"),
     pytest.param("evolve", TINY_MASS, ["--state", "eigenstate:0", "--time", "1"],
                  "overflows the split-step phase", id="evolve-tiny-m"),
+    # each parameter is admitted alone, but the oscillator scales they make are not
+    ("verify", '{"params": {"m": 1.7e308, "omega": 1e-300, "hbar": 1e-300}, '
+               '"grid": {"extent": 0.001, "n": 4}, "truncation": 16}',
+     [], "hbar omega is 0, not a normal float64"),
+    ("verify", '{"params": {"m": 1e-20, "omega": 1000, "hbar": 1e-320}, '
+               '"grid": {"extent": 3.7, "n": 16}, "truncation": 2}',
+     [], "hbar omega is 9.99989e-318, not a normal float64"),
+    ("verify", '{"params": {"m": 3.45313e-246, "omega": 2.85308e-292, "hbar": 1.68282e-166}, '
+               '"grid": {"extent": 3.02696, "n": 4}}',
+     [], "hbar omega is 0, not a normal float64"),
+    ("verify", '{"params": {"m": 0.0045602, "omega": 9.36837e147, "hbar": 1.76434e-218}, '
+               '"grid": {"extent": 1.37035e-177, "n": 32}}',
+     [], "hbar/(m omega) is 0, not a normal float64"),
 ]
 
 

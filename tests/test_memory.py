@@ -31,7 +31,8 @@ FIELD = N * N * 8
 # The complex slice (2 fields) and the density (1) are the results; the
 # rest is blocks and masks.
 DENSITY_PEAK_FIELDS = 4.0
-# The copy that is transported (1) and the two shear ramps (1 each).
+# The copy that is transported (1), turned into place where the lattice is
+# square, and the two shear ramps (1 each).
 TRANSPORT_PEAK_FIELDS = 4.0
 
 
@@ -50,7 +51,7 @@ def test_density_of_a_state_peaks_under_four_fields():
     assert peak < DENSITY_PEAK_FIELDS * FIELD
 
 
-@pytest.mark.parametrize("t", [0.3, 1.234, 3.0])
+@pytest.mark.parametrize("t", [0.3, 1.234, 3.0, np.pi / 2.0, -2.5])
 def test_transport_peaks_under_four_fields(t):
     density = wg.wavefunction_to_density(sc.coherent_state(LINE, PAR, 1.2, 0.4), GRID, PAR)
     peak = _traced_peak(lambda: ps.liouville_propagate(density, t, PAR))

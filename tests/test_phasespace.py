@@ -1,8 +1,11 @@
 """Classical flow, Liouville transport, brackets, and expectations."""
 
+import math
+
 import numpy as np
 import pytest
 
+from phaseq import _spectral
 from phaseq import phasespace as ps
 from phaseq.errors import BoundaryLeak
 
@@ -133,8 +136,13 @@ NON_NATURAL = ps.PhysParams(0.4, 0.73, 0.26)
         (PAR, -2.4),
         (PAR, 2.0 * np.pi + 1.1),
         (NON_NATURAL, 1.7 / NON_NATURAL.omega),
+        (PAR, np.pi / 2.0),
+        (PAR, np.pi),
+        (PAR, -np.pi / 2.0),
+        (NON_NATURAL, 3.0 / NON_NATURAL.omega),
     ],
-    ids=["q1", "q2", "q3", "q4", "negative", "beyond-period", "non-natural"],
+    ids=["q1", "q2", "q3", "q4", "negative", "beyond-period", "non-natural",
+         "quarter-turn", "half-turn", "negative-quarter-turn", "non-natural-q2"],
 )
 def test_moving_gaussian_tracks_flow(par, t):
     # the minimum-uncertainty Gaussian rotates rigidly onto the flowed centre
@@ -145,6 +153,72 @@ def test_moving_gaussian_tracks_flow(par, t):
     target = ps.hamilton_flow(start, t, par)
     exact = ps.gaussian_density(grid, par, target.q, target.p)
     assert np.abs(moved.values - exact.values).max() <= 1e-10
+
+
+def _turned_once(values):
+    # the lattice index i sits at -L + i d: a clockwise quarter turn of
+    # (q, v) moves the -L row to +L, outside the window, and brings in zeros
+    turned = np.roll(np.rot90(values, -1), 1, axis=1)
+    turned[:, 0] = 0.0
+    return turned
+
+
+def _counting_shears(monkeypatch):
+    count = [0]
+    shear = _spectral.shear
+
+    def counted(*args, **kwargs):
+        apply = shear(*args, **kwargs)
+
+        def applied(values):
+            count[0] += 1
+            return apply(values)
+
+        return applied
+
+    monkeypatch.setattr(_spectral, "shear", counted)
+    return count
+
+
+def test_quarter_turn_is_the_index_map(monkeypatch):
+    shears = _counting_shears(monkeypatch)
+    density = ps.gaussian_density(ps.default_grid(8.0, 256), PAR, q0=1.0, p0=0.5)
+    moved = ps.liouville_propagate(density, math.pi / 2.0, PAR)
+    assert shears[0] == 0
+    assert np.array_equal(moved.values, _turned_once(density.values))
+
+
+def test_four_quarter_turns_return_the_density():
+    density = ps.gaussian_density(ps.default_grid(8.0, 256), PAR, q0=1.0, p0=0.5)
+    moved = density
+    for _ in range(4):
+        moved = ps.liouville_propagate(moved, math.pi / 2.0, PAR)
+    expected = density.values.copy()
+    expected[0, :] = 0.0
+    expected[:, 0] = 0.0
+    assert np.array_equal(moved.values, expected)
+    assert moved.time == 2.0 * math.pi
+
+
+@pytest.mark.parametrize("angle", [0.3, 1.234, 3.0, -2.5, 5.3, 2.0 * math.pi + 1.1])
+def test_square_lattice_shears_one_sub_rotation_at_most(monkeypatch, angle):
+    shears = _counting_shears(monkeypatch)
+    density = ps.gaussian_density(ps.default_grid(8.0, 256), PAR, q0=1.0, p0=0.5)
+    ps.liouville_propagate(density, angle, PAR)
+    assert 1 <= shears[0] <= 3
+
+
+@pytest.mark.parametrize("angle", [0.3, 1.234, 3.0, -2.5, 5.3, 2.0 * math.pi + 1.1])
+@pytest.mark.parametrize("par, grid", [
+    (NON_NATURAL, ps.default_grid(8.0, 256)),
+    (PAR, ps.PhaseGrid(-4.0, 12.0, -4.0, 12.0, 256, 256)),
+], ids=["non-natural", "asymmetric"])
+def test_other_lattices_shear_every_sub_rotation(monkeypatch, angle, par, grid):
+    shears = _counting_shears(monkeypatch)
+    density = ps.gaussian_density(grid, par, q0=0.0)
+    ps.liouville_propagate(density, angle / par.omega, par)
+    theta = math.remainder(angle, 2.0 * math.pi)
+    assert shears[0] == 3 * math.ceil(abs(theta) / (math.pi / 4.0))
 
 
 def test_zero_time_is_identity():
