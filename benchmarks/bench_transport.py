@@ -3,16 +3,19 @@
     python benchmarks/bench_transport.py [--parent SRC] [--out BENCH_transport.json]
 
 Each row times ``phasespace.liouville_propagate`` of a Gaussian density
-centred at (0.7, -1.1) on the grid [-10, 10)^2: n in {256, 512, 1024} at
-the angles omega t in {0.3, 1.234, 3.0, -2.5, pi/2} in natural units, plus
-one row at (m, omega, hbar) = (2.54, 0.41, 0.28), where the (q, p/m omega)
-lattice is not square.  Every row runs once to warm up, then REPEATS times;
-it records the min and the median in milliseconds.
+centred at (0.7, -1.1) on the square (q, p/m omega) lattice: q on
+[-10, 10) and p on m omega times that.  The rows are n in {256, 512, 1024}
+at the angles omega t in {0.3, 1.234, 3.0, -2.5, pi/2} in natural units,
+plus one row at (m, omega, hbar) = (2.54, 0.41, 0.28).  Every row runs once
+to warm up, then REPEATS times; it records the min and the median in
+milliseconds.
 
 The tree of this script is measured as "change".  ``--parent`` names the
 ``src`` directory of another checkout, measured as "parent" side by side.
 Each side runs in its own interpreter with one BLAS thread, alternating
-sides grid by grid so that host drift falls on both.
+sides grid by grid so that host drift falls on both.  The lattice is built
+here from ``PhaseGrid``, which every tree has, so both sides run the same
+rows.  Each run appends one record, parent and change, to the list in --out.
 """
 
 from __future__ import annotations
@@ -32,14 +35,14 @@ SIZES = (256, 512, 1024)
 ANGLES = (0.3, 1.234, 3.0, -2.5, math.pi / 2.0)
 EXTENT = 10.0
 CENTRE = (0.7, -1.1)
-NON_SQUARE = ((2.54, 0.41, 0.28), 1024, 3.0)
+NON_NATURAL = ((2.54, 0.41, 0.28), 1024, 3.0)
 REPEATS = 5
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def _rows(n: int) -> list[tuple[tuple, float]]:
     rows = [((1.0, 1.0, 1.0), angle) for angle in ANGLES]
-    params, size, angle = NON_SQUARE
+    params, size, angle = NON_NATURAL
     if n == size:
         rows.append((params, angle))
     return rows
@@ -49,10 +52,11 @@ def measure(n: int) -> list[dict]:
     """Min and median ms of the transport at each row of grid size n."""
     from phaseq import phasespace as ps
 
-    grid = ps.default_grid(EXTENT, n)
     results = []
     for params, angle in _rows(n):
         par = ps.PhysParams(*params)
+        mw = par.m * par.omega
+        grid = ps.PhaseGrid(-EXTENT, EXTENT, mw * -EXTENT, mw * EXTENT, n, n)
         density = ps.gaussian_density(grid, par, *CENTRE)
         times = []
         for _ in range(1 + REPEATS):
@@ -100,12 +104,14 @@ def main(argv=None) -> int:
         "repeats": REPEATS,
         "warmups": 1,
         "extent": EXTENT,
+        "lattice": "q on [-extent, extent), p on m omega times that",
         "centre": list(CENTRE),
         "sides": rows,
     }
-    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    records = json.loads(args.out.read_text()) if args.out.exists() else []
+    args.out.write_text(json.dumps([*records, record], indent=2) + "\n")
     for side in sides:
-        for row in record["sides"][side]:
+        for row in rows[side]:
             print(f"{side:7s} n={row['n']:5d} (m, w, hbar)=({row['m']}, {row['omega']}, "
                   f"{row['hbar']}) wt={row['omega_t']:+.4f}  min {row['min_ms']:8.2f} ms  "
                   f"median {row['median_ms']:8.2f} ms")

@@ -6,11 +6,11 @@ live on a rectangular (q, p) PhaseGrid and states on a 1D PositionGrid; a
 state pairs with the densities of the phase grid whose q axis it samples,
 ``PhaseGrid.line``.
 
-For the oscillator, Liouville transport is a rigid rotation of (q, p/m w).
-Propagation factors that rotation into shears, and each shear translates
-every grid line by a Fourier phase ramp: there is no time-stepping error,
-and the transport is exact for band-limited densities.  On a lattice that
-a quarter turn maps onto itself, whole quarter turns are index maps.
+For the oscillator, Liouville transport is a rigid rotation of (q, p/m w)
+on the square lattice of ``default_grid``.  Whole quarter turns are index
+maps; the rest is factored into shears, each translating every grid line by
+a Fourier phase ramp: there is no time-stepping error, and the transport is
+exact for band-limited densities.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import _spectral
-from .errors import BoundaryLeak
+from .errors import BoundaryLeak, GridMismatch
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,10 @@ class PhaseGrid:
         return np.meshgrid(self.q, self.p, indexing="ij")
 
 
-def default_grid(extent: float, n: int) -> PhaseGrid:
-    """Square grid [-extent, extent) in both coordinates."""
-    return PhaseGrid(-extent, extent, -extent, extent, n, n)
+def default_grid(extent: float, n: int, par: PhysParams) -> PhaseGrid:
+    """The square (q, p/m w) lattice: q on [-extent, extent), p on m w times that."""
+    mw = par.m * par.omega
+    return PhaseGrid(-extent, extent, mw * -extent, mw * extent, n, n)
 
 
 def field_values(values, dtype, shape: tuple, what: str) -> np.ndarray:
@@ -169,8 +170,9 @@ class PhaseDensity:
 # ---------------------------------------------------------------------------
 
 def hamiltonian(q, p, par: PhysParams):
-    """Quadratic oscillator energy p^2/2m + m w^2 q^2 / 2 at scalars or arrays."""
-    return p ** 2 / (2.0 * par.m) + 0.5 * par.m * par.omega ** 2 * q ** 2
+    """Quadratic oscillator energy p^2/2m + m w^2 q^2 / 2 at scalars or arrays;
+    p (p/2m) has no p^2 to overflow on a p window m w times the q window."""
+    return p * (p / (2.0 * par.m)) + 0.5 * par.m * par.omega ** 2 * q ** 2
 
 
 def hamilton_flow(pt: PhasePoint, t: float, par: PhysParams) -> PhasePoint:
@@ -221,30 +223,26 @@ def liouville_propagate(f: PhaseDensity, t: float, par: PhysParams) -> PhaseDens
     """Transport a density along the flow for time t.
 
     The flow turns (q, v = p/m w) clockwise by the angle w t, reduced to
-    [-pi, pi] so that whole periods are the identity.  The angle is split
-    into equal sub-rotations a of at most pi/4, each the product of three
-    shears (Paeth 1986): q += tan(a/2) v, then v -= sin(a) q, then
-    q += tan(a/2) v again.  Every shear translates each grid line by a
-    spectral phase ramp, exact for band-limited densities; content pushed
-    out of the window is dropped rather than wrapped, so the density stays
-    zero outside its grid.
-
-    Where the v lattice is the q lattice (a square grid over [-L, L) in
-    both q and v), the nearest whole quarter turns are first taken exactly
-    as an index map, and only the remaining |a| <= pi/4 is sheared: every
-    angle then costs at most one sub-rotation.
+    [-pi, pi] so that whole periods are the identity.  The density must live
+    on the square lattice of ``default_grid`` (n_q == n_p, with q and v over
+    one window [-L, L), in exact float equality), which a quarter turn maps
+    onto itself; any other lattice raises GridMismatch.  The nearest whole
+    quarter turns are an index map, and the remaining |a| <= pi/4 is one
+    sub-rotation of three shears (Paeth 1986): q += tan(a/2) v, then
+    v -= sin(a) q, then q += tan(a/2) v again.  Every shear translates each
+    grid line by a spectral phase ramp, exact for band-limited densities;
+    content pushed out of the window is dropped rather than wrapped.
     """
     grid = f.grid
-    theta = math.remainder(par.omega * t, 2.0 * math.pi)
     mw = par.m * par.omega
-    square = (grid.n_q == grid.n_p and grid.q_min == -grid.q_max
-              and grid.p_max == mw * grid.q_max and grid.p_min == mw * grid.q_min)
-    quarters = round(theta / (math.pi / 2.0)) if square else 0
-    theta -= quarters * (math.pi / 2.0)
-    turns = math.ceil(abs(theta) / (math.pi / 4.0))
+    if not (grid.n_q == grid.n_p and grid.q_min == -grid.q_max
+            and grid.p_max == mw * grid.q_max and grid.p_min == mw * grid.q_min):
+        raise GridMismatch("transport needs the square (q, p/m omega) lattice of default_grid")
+    theta = math.remainder(par.omega * t, 2.0 * math.pi)
+    quarters = round(theta / (math.pi / 2.0))
+    a = theta - quarters * (math.pi / 2.0)
     new_values = _quarter_turned(f.values, quarters)
-    if turns:
-        a = theta / turns
+    if a:
         # a shear moving q by b v samples the density at q - b v
         shear_q = _spectral.shear(
             grid.n_q, grid.q_max - grid.q_min, -math.tan(0.5 * a) * grid.p / mw, axis=0
@@ -252,8 +250,7 @@ def liouville_propagate(f: PhaseDensity, t: float, par: PhysParams) -> PhaseDens
         shear_p = _spectral.shear(
             grid.n_p, grid.p_max - grid.p_min, math.sin(a) * mw * grid.q, axis=1
         )
-        for _ in range(turns):
-            shear_q(shear_p(shear_q(new_values)))  # each shear works in place
+        shear_q(shear_p(shear_q(new_values)))  # each shear works in place
         del shear_q, shear_p  # free the ramps before frame_mass takes |values|
     result = PhaseDensity(grid, new_values, f.time + t)
     leaked = frame_mass(result)
@@ -300,7 +297,8 @@ def gaussian_density(grid: PhaseGrid, par: PhysParams, q0: float, p0: float = 0.
     """Minimum-uncertainty Gaussian centred at (q0, p0), discretely normalised."""
     qm, pm = grid.meshes()
     mw = par.m * par.omega
-    values = np.exp(-(mw * (qm - q0) ** 2 + (pm - p0) ** 2 / mw) / par.hbar)
+    with np.errstate(over="ignore"):  # an exponent past the float range: exp(-inf) = 0
+        values = np.exp(-mw * ((qm - q0) ** 2 + ((pm - p0) / mw) ** 2) / par.hbar)
     density = PhaseDensity(grid, values, 0.0)
     return PhaseDensity(grid, values / density.mass(), 0.0)
 

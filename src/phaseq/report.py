@@ -144,7 +144,7 @@ class SuiteConfig:
                 "oscillator length": length,
                 "oscillator momentum": momentum,
                 "extent/length": extent / length,
-                "extent/momentum": extent / momentum,
+                "m omega extent": mw * extent,
             }
         for name, value in scales.items():
             if not sys.float_info.min <= value <= sys.float_info.max:
@@ -152,7 +152,7 @@ class SuiteConfig:
                     f"{name} is {value:g}, not a normal float64, for m {par.m:g}, "
                     f"omega {par.omega:g}, hbar {par.hbar:g} and grid extent {extent:g}"
                 )
-        return phasespace.default_grid(extent, points)
+        return phasespace.default_grid(extent, points, par)
 
     def as_dict(self) -> dict:
         return {
@@ -186,7 +186,7 @@ class _Context:
         self.config = config
         self.par = config.params
         # fixed 256^2 grid for entries with grid-pinned tolerances
-        self.reference_grid = phasespace.default_grid(8.0, 256)
+        self.reference_grid = phasespace.default_grid(8.0, 256, self.par)
         self.line_grid = phasespace.PositionGrid(-10.0, 10.0, 512)
 
     @functools.cached_property

@@ -69,7 +69,7 @@ def test_criterion_03_classical_quantum_equivalence():
     with _Timer() as timer:
         reports = {}
         for n in (128, 256):
-            grid = ps.default_grid(8.0, n)
+            grid = ps.default_grid(8.0, n, PAR)
             line = ps.PositionGrid(-8.0, 8.0, n)
             state = sc.coherent_state(line, PAR, 1.0, 0.0)
             reports[n] = sc.equivalence_report(state, period, PAR, grid)
@@ -83,7 +83,7 @@ def test_criterion_03_classical_quantum_equivalence():
 
 def test_criterion_04_transform_pair():
     with _Timer() as timer:
-        grid = ps.default_grid(8.0, 256)
+        grid = ps.default_grid(8.0, 256, PAR)
         density = ps.gaussian_density(grid, PAR, q0=1.0, p0=-0.3)
         rho = wg.wigner_forward(density, PAR)
         back = wg.wigner_inverse(rho)

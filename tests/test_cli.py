@@ -1,13 +1,20 @@
 """Exit codes, file outputs, and determinism of the command-line harness."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import phaseq
 from phaseq import cli, io, report
@@ -100,9 +107,10 @@ MALFORMED = [
     ("verify", '{"params": {"m": 1e-20, "omega": 1000, "hbar": 1e-320}, '
                '"grid": {"extent": 3.7, "n": 16}, "truncation": 2}',
      [], "hbar omega is 9.99989e-318, not a normal float64"),
+    # the kinetic phase, formed as p (p / 2m) with no (hbar k)^2 to underflow, overflows
     ("verify", '{"params": {"m": 3.45313e-246, "omega": 2.85308e-292, "hbar": 1.68282e-166}, '
                '"grid": {"extent": 3.02696, "n": 4}}',
-     [], "hbar omega is 0, not a normal float64"),
+     [], "overflows the split-step phase"),
     ("verify", '{"params": {"m": 0.0045602, "omega": 9.36837e147, "hbar": 1.76434e-218}, '
                '"grid": {"extent": 1.37035e-177, "n": 32}}',
      [], "hbar/(m omega) is 0, not a normal float64"),
@@ -472,7 +480,7 @@ def test_evolve_files_match_sequential_writes(tmp_path, forks, state, time, buil
     assert main([*_evolve_argv(tmp_path, state, repr(time)), "--out", str(out)]) == 0
     _assert_reaped(forks)
 
-    grid = default_grid(8.0, 64)
+    grid = default_grid(8.0, 64, NATURAL)
     phi = build(grid.line)
     comparison = equivalence_report(phi, time, NATURAL, grid)
     expected = tmp_path / "expected"
@@ -502,3 +510,57 @@ def test_cli_import_leaves_out_multiprocessing():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
     assert probe.stdout.split() == ["False", "0"]
+
+
+# Every positive float64 the config admits, log-uniform in its exponent.
+_SCALE = st.floats(math.log10(1e-320), math.log10(1.7e308)).map(lambda x: 10.0 ** x)
+
+_FUZZ_CONFIG = st.fixed_dictionaries({
+    "params": st.fixed_dictionaries({"m": _SCALE, "omega": _SCALE, "hbar": _SCALE}),
+    "grid": st.fixed_dictionaries({"extent": _SCALE, "n": st.sampled_from([4, 8, 16])}),
+    "truncation": st.sampled_from([2, 16, 64]),
+})
+
+_FUZZ_STATE = st.one_of(
+    st.integers(0, 3).map(lambda level: f"eigenstate:{level}"),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(
+        lambda centre: f"coherent:{centre[0]!r},{centre[1]!r}"),
+)
+
+
+# With the p window scaled by m omega and the Gaussian's exponent written in
+# p, not in p / m omega, these squared a momentum above 1e154 and warned.
+@example(command="verify", state="eigenstate:0", time=0.1, config={
+    "params": {"m": 9.09274e+252, "omega": 0.00174063, "hbar": 235.766},
+    "grid": {"extent": 1.403, "n": 4}, "truncation": 16})
+@example(command="verify", state="eigenstate:0", time=0.1, config={
+    "params": {"m": 3.16686e+171, "omega": 126.01, "hbar": 9.42932e-17},
+    "grid": {"extent": 9.1273e-164, "n": 16}, "truncation": 16})
+# The energy's p^2 at a p window of 1.6e154 overflowed where p (p / 2m) does not.
+@example(command="verify", state="eigenstate:0", time=0.1, config={
+    "params": {"m": 2e153, "omega": 1.0, "hbar": 2e153},
+    "grid": {"extent": 1000.0, "n": 4}, "truncation": 16})
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(command=st.sampled_from(["verify", "spectrum", "spin", "evolve"]), config=_FUZZ_CONFIG,
+       state=_FUZZ_STATE, time=st.sampled_from([0.05, 0.5, 1.234]))
+def test_no_input_escapes_as_a_traceback_or_a_warning(command, config, state, time):
+    """Any admitted number ends in a report or one error line, never in an
+    exception, an unknown exit code or a numpy warning."""
+    extra = {
+        "verify": ["--no-timestamp"],
+        "spectrum": ["--cutoff", str(config["truncation"])],
+        "spin": ["--n-max", "3"],
+        "evolve": ["--no-timestamp", "--state", state, "--time", repr(time)],
+    }[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        stderr = StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stderr(stderr), \
+                redirect_stdout(StringIO()):
+            warnings.simplefilter("always")
+            code = main([command, *extra, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    assert all(line.startswith(("error:", "discarding"))
+               for line in stderr.getvalue().splitlines())
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []

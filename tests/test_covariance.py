@@ -2,8 +2,10 @@
 
 On grids scaled by the oscillator length lq = sqrt(hbar / m omega) and momentum
 lp = hbar / lq, and for times scaled by 1 / omega, each layer at (m, omega, hbar)
-equals its natural-unit result times a known power of the scales.  The relation
-needs no closed form, and it sees unit placements that natural units cannot.
+equals its natural-unit result times a known power of the scales.  The phase
+grids are ``default_grid(8 lq, n, par)``, whose p window, m omega times the q
+window, is 8 lp.  The relation needs no closed form, and it sees unit
+placements that natural units cannot.
 """
 
 import math
@@ -14,6 +16,7 @@ import pytest
 from phaseq import fock
 from phaseq import phasespace as ps
 from phaseq import schrodinger as sc
+from phaseq import wigner as wg
 
 PARAMS = [
     pytest.param(ps.PhysParams(2.54, 0.41, 0.28), id="2.54,0.41,0.28"),
@@ -45,10 +48,31 @@ def test_split_step_evolve_scales_as_the_inverse_root_of_the_length(par):
 
 @pytest.mark.parametrize("par", PARAMS)
 def test_hamiltonian_gaussian_scales_as_the_inverse_action(par):
+    length, _ = _scales(par)
+    natural = ps.hamiltonian_gaussian(ps.default_grid(8.0, 64, ps.NATURAL), ps.NATURAL, width=0.8)
+    scaled = ps.hamiltonian_gaussian(ps.default_grid(8.0 * length, 64, par), par, width=0.8)
+    _assert_close(scaled.values, natural.values / par.hbar)
+
+
+def _coherent_density(par):
     length, momentum = _scales(par)
-    grid = ps.PhaseGrid(-8.0 * length, 8.0 * length, -8.0 * momentum, 8.0 * momentum, 64, 64)
-    natural = ps.hamiltonian_gaussian(ps.default_grid(8.0, 64), ps.NATURAL, width=0.8).values
-    _assert_close(ps.hamiltonian_gaussian(grid, par, width=0.8).values, natural / par.hbar)
+    grid = ps.default_grid(8.0 * length, 128, par)
+    phi = sc.coherent_state(grid.line, par, 0.7 * length, -1.1 * momentum)
+    return wg.wavefunction_to_density(phi, grid, par)
+
+
+@pytest.mark.parametrize("par", PARAMS)
+def test_wavefunction_to_density_scales_as_the_inverse_action(par):
+    natural = _coherent_density(ps.NATURAL).values
+    _assert_close(_coherent_density(par).values, natural / par.hbar)
+
+
+@pytest.mark.parametrize("omega_t", [0.3, 1.234, 3.0, -2.5])
+@pytest.mark.parametrize("par", PARAMS)
+def test_liouville_propagate_scales_as_the_inverse_action(par, omega_t):
+    natural = ps.liouville_propagate(_coherent_density(ps.NATURAL), omega_t, ps.NATURAL)
+    scaled = ps.liouville_propagate(_coherent_density(par), omega_t / par.omega, par)
+    _assert_close(scaled.values, natural.values / par.hbar)
 
 
 @pytest.mark.parametrize("par", PARAMS)

@@ -19,7 +19,7 @@ ODD = ps.PhysParams(2.54, 0.41, 0.28)
 
 
 def test_phase_density_round_trip(tmp_path):
-    grid = ps.default_grid(4.0, 32)
+    grid = ps.default_grid(4.0, 32, PAR)
     density = ps.gaussian_density(grid, PAR, q0=0.5, p0=-0.25)
     io.save_phase_density(density, tmp_path / "field")
     loaded = io.load_phase_density(tmp_path / "field")
@@ -109,7 +109,7 @@ def test_writer_matches_python_on_float64_bit_patterns(tmp_path_factory, values)
 
 
 def test_fast_path_settles_nearly_every_density_cell():
-    grid = ps.default_grid(8.0, 128)
+    grid = ps.default_grid(8.0, 128, PAR)
     values = ps.gaussian_density(grid, PAR, q0=0.7, p0=-1.1).values.ravel()
     _, _, certain = io._decimal_digits(values, io._tables())
     assert certain[values != 0].mean() > 0.999
@@ -133,7 +133,7 @@ def test_writer_blocks_join_into_savetxt_bytes(tmp_path, monkeypatch, block_cell
 
 @pytest.mark.parametrize("par", [PAR, ODD], ids=["natural", "odd"])
 def test_phase_density_bytes_match_savetxt(tmp_path, par):
-    grid = ps.default_grid(6.0, 64)
+    grid = ps.default_grid(6.0, 64, par)
     density = ps.gaussian_density(grid, par, q0=0.7, p0=-1.1)
     csv_path, _ = io.save_phase_density(density, tmp_path / "field")
     np.savetxt(tmp_path / "oracle.csv", density.values, delimiter=",", fmt="%.17g")

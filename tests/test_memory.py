@@ -24,7 +24,7 @@ from phaseq import wigner as wg
 
 PAR = ps.NATURAL
 N = 512
-GRID = ps.default_grid(10.0, N)
+GRID = ps.default_grid(10.0, N, PAR)
 LINE = ps.PositionGrid(-10.0, 10.0, N)
 FIELD = N * N * 8
 

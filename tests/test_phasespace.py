@@ -7,7 +7,7 @@ import pytest
 
 from phaseq import _spectral
 from phaseq import phasespace as ps
-from phaseq.errors import BoundaryLeak
+from phaseq.errors import BoundaryLeak, GridMismatch
 
 PAR = ps.NATURAL
 
@@ -99,13 +99,13 @@ def test_line_is_the_q_axis():
 
 
 def test_density_shape_checked():
-    grid = ps.default_grid(8.0, 64)
+    grid = ps.default_grid(8.0, 64, PAR)
     with pytest.raises(ValueError):
         ps.PhaseDensity(grid, np.zeros((64, 32)), 0.0)
 
 
 def test_gaussian_density_is_classical():
-    grid = ps.default_grid(8.0, 256)
+    grid = ps.default_grid(8.0, 256, PAR)
     density = ps.gaussian_density(grid, PAR, q0=1.0)
     assert density.values.min() >= -1e-12
     assert abs(density.mass() - 1.0) <= 1e-6
@@ -116,7 +116,7 @@ def test_gaussian_density_is_classical():
 # ---------------------------------------------------------------------------
 
 def test_stationary_gaussian_unchanged():
-    grid = ps.default_grid(8.0, 256)
+    grid = ps.default_grid(8.0, 256, PAR)
     density = ps.hamiltonian_gaussian(grid, PAR)
     for t in (0.7, 2.9):
         moved = ps.liouville_propagate(density, t, PAR)
@@ -146,9 +146,8 @@ NON_NATURAL = ps.PhysParams(0.4, 0.73, 0.26)
 )
 def test_moving_gaussian_tracks_flow(par, t):
     # the minimum-uncertainty Gaussian rotates rigidly onto the flowed centre
-    mw = par.m * par.omega
-    grid = ps.PhaseGrid(-8.0, 8.0, -8.0 * mw, 8.0 * mw, 256, 256)
-    start = ps.PhasePoint(1.0, 0.5 * mw)
+    grid = ps.default_grid(8.0, 256, par)
+    start = ps.PhasePoint(1.0, 0.5 * par.m * par.omega)
     moved = ps.liouville_propagate(ps.gaussian_density(grid, par, start.q, start.p), t, par)
     target = ps.hamilton_flow(start, t, par)
     exact = ps.gaussian_density(grid, par, target.q, target.p)
@@ -182,14 +181,14 @@ def _counting_shears(monkeypatch):
 
 def test_quarter_turn_is_the_index_map(monkeypatch):
     shears = _counting_shears(monkeypatch)
-    density = ps.gaussian_density(ps.default_grid(8.0, 256), PAR, q0=1.0, p0=0.5)
+    density = ps.gaussian_density(ps.default_grid(8.0, 256, PAR), PAR, q0=1.0, p0=0.5)
     moved = ps.liouville_propagate(density, math.pi / 2.0, PAR)
     assert shears[0] == 0
     assert np.array_equal(moved.values, _turned_once(density.values))
 
 
 def test_four_quarter_turns_return_the_density():
-    density = ps.gaussian_density(ps.default_grid(8.0, 256), PAR, q0=1.0, p0=0.5)
+    density = ps.gaussian_density(ps.default_grid(8.0, 256, PAR), PAR, q0=1.0, p0=0.5)
     moved = density
     for _ in range(4):
         moved = ps.liouville_propagate(moved, math.pi / 2.0, PAR)
@@ -200,36 +199,40 @@ def test_four_quarter_turns_return_the_density():
     assert moved.time == 2.0 * math.pi
 
 
-@pytest.mark.parametrize("angle", [0.3, 1.234, 3.0, -2.5, 5.3, 2.0 * math.pi + 1.1])
-def test_square_lattice_shears_one_sub_rotation_at_most(monkeypatch, angle):
+ANGLES = [0.3, 1.234, 3.0, -2.5, 5.3, 2.0 * math.pi + 1.1]
+
+
+@pytest.mark.parametrize("angle, par", [
+    *(pytest.param(angle, PAR, id=str(angle)) for angle in ANGLES),
+    *(pytest.param(angle, NON_NATURAL, id=f"non-natural-{angle}") for angle in ANGLES),
+])
+def test_square_lattice_shears_one_sub_rotation_at_most(monkeypatch, angle, par):
     shears = _counting_shears(monkeypatch)
-    density = ps.gaussian_density(ps.default_grid(8.0, 256), PAR, q0=1.0, p0=0.5)
-    ps.liouville_propagate(density, angle, PAR)
+    grid = ps.default_grid(8.0, 256, par)
+    density = ps.gaussian_density(grid, par, q0=1.0, p0=0.5 * par.m * par.omega)
+    ps.liouville_propagate(density, angle / par.omega, par)
     assert 1 <= shears[0] <= 3
 
 
-@pytest.mark.parametrize("angle", [0.3, 1.234, 3.0, -2.5, 5.3, 2.0 * math.pi + 1.1])
 @pytest.mark.parametrize("par, grid", [
-    (NON_NATURAL, ps.default_grid(8.0, 256)),
+    (NON_NATURAL, ps.PhaseGrid(-8.0, 8.0, -8.0, 8.0, 256, 256)),
     (PAR, ps.PhaseGrid(-4.0, 12.0, -4.0, 12.0, 256, 256)),
 ], ids=["non-natural", "asymmetric"])
-def test_other_lattices_shear_every_sub_rotation(monkeypatch, angle, par, grid):
-    shears = _counting_shears(monkeypatch)
+def test_other_lattices_are_refused(par, grid):
     density = ps.gaussian_density(grid, par, q0=0.0)
-    ps.liouville_propagate(density, angle / par.omega, par)
-    theta = math.remainder(angle, 2.0 * math.pi)
-    assert shears[0] == 3 * math.ceil(abs(theta) / (math.pi / 4.0))
+    with pytest.raises(GridMismatch, match="square"):
+        ps.liouville_propagate(density, 0.3 / par.omega, par)
 
 
 def test_zero_time_is_identity():
-    grid = ps.default_grid(8.0, 128)
+    grid = ps.default_grid(8.0, 128, PAR)
     density = ps.gaussian_density(grid, PAR, q0=0.5)
     moved = ps.liouville_propagate(density, 0.0, PAR)
     assert np.abs(moved.values - density.values).max() < 1e-13
 
 
 def test_mass_conserved():
-    grid = ps.default_grid(8.0, 256)
+    grid = ps.default_grid(8.0, 256, PAR)
     density = ps.gaussian_density(grid, PAR, q0=1.5, p0=-0.5)
     moved = ps.liouville_propagate(density, 2.3, PAR)
     assert abs(moved.mass() - density.mass()) < 1e-6
@@ -237,7 +240,7 @@ def test_mass_conserved():
 
 def test_energy_functionals_conserved():
     # any function of H is transported onto itself
-    grid = ps.default_grid(8.0, 256)
+    grid = ps.default_grid(8.0, 256, PAR)
     density = ps.gaussian_density(grid, PAR, q0=1.0)
     moved = ps.liouville_propagate(density, 0.7, PAR)
     h = lambda Q, P: 0.5 * (Q ** 2 + P ** 2)
@@ -246,7 +249,7 @@ def test_energy_functionals_conserved():
 
 
 def test_boundary_leak_detected():
-    grid = ps.default_grid(8.0, 256)
+    grid = ps.default_grid(8.0, 256, PAR)
     density = ps.gaussian_density(grid, PAR, q0=6.9)
     with pytest.raises(BoundaryLeak):
         ps.liouville_propagate(density, 0.4, PAR)
@@ -256,7 +259,7 @@ def test_no_ghost_at_opposite_edge():
     # a narrow packet is carried out through the top momentum edge; a
     # periodic shift would bring it back in at the bottom edge
     par = ps.PhysParams(1.0, 1.0, 0.05)
-    grid = ps.default_grid(8.0, 512)
+    grid = ps.default_grid(8.0, 512, par)
     density = ps.gaussian_density(grid, par, q0=-6.0, p0=6.5)
     moved = ps.liouville_propagate(density, 0.7, par)
     assert ps.hamilton_flow(ps.PhasePoint(-6.0, 6.5), 0.7, par).p > grid.p_max
@@ -308,20 +311,20 @@ def _expectation(density, obs):
 
 
 def test_expectation_of_one_is_mass():
-    grid = ps.default_grid(8.0, 256)
+    grid = ps.default_grid(8.0, 256, PAR)
     density = ps.gaussian_density(grid, PAR, q0=0.0)
     assert _expectation(density, 1.0) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_expectation_of_odd_observable_vanishes():
-    grid = ps.default_grid(8.0, 256)
+    grid = ps.default_grid(8.0, 256, PAR)
     density = ps.gaussian_density(grid, PAR, q0=0.0)
     assert _expectation(density, lambda Q, P: Q) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_mean_energy_of_minimum_gaussian():
     # second moments of exp(-(q^2 + p^2)) give <H> = hbar*omega/2
-    grid = ps.default_grid(8.0, 256)
+    grid = ps.default_grid(8.0, 256, PAR)
     density = ps.gaussian_density(grid, PAR, q0=0.0)
     h = lambda Q, P: 0.5 * (P ** 2 + Q ** 2)
     assert _expectation(density, h) == pytest.approx(0.5, abs=1e-5)

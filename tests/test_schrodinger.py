@@ -123,7 +123,7 @@ def test_energy_expectation_is_linear():
 # ---------------------------------------------------------------------------
 
 def _equivalence(n, state_builder, t):
-    grid = ps.default_grid(8.0, n)
+    grid = ps.default_grid(8.0, n, PAR)
     line = ps.PositionGrid(-8.0, 8.0, n)
     return sc.equivalence_report(state_builder(line), t, PAR, grid)
 
@@ -141,7 +141,7 @@ def test_equivalence_coherent_period():
 
 
 def test_equivalence_eigenstate_stationary():
-    grid = ps.default_grid(8.0, 256)
+    grid = ps.default_grid(8.0, 256, PAR)
     line = ps.PositionGrid(-8.0, 8.0, 256)
     state = sc.hermite_eigenstate(1, line, PAR)
     report = sc.equivalence_report(state, 1.7, PAR, grid)
@@ -194,7 +194,7 @@ STATES = {
 @pytest.mark.parametrize("t", [0.0, 1.234, 2.0 * np.pi])
 @pytest.mark.parametrize("state", sorted(STATES))
 def test_equivalence_equals_the_serial_routes(n, t, state):
-    grid = ps.default_grid(8.0, n)
+    grid = ps.default_grid(8.0, n, PAR)
     phi0 = STATES[state](ps.PositionGrid(-8.0, 8.0, n))
     report = sc.equivalence_report(phi0, t, PAR, grid)
     f0, phi_t, classical, l2, max_distance = _serial_equivalence(phi0, t, grid)
@@ -226,7 +226,7 @@ def _failing(error, delay=0.0):
 
 
 def _run_small():
-    grid = ps.default_grid(8.0, 64)
+    grid = ps.default_grid(8.0, 64, PAR)
     phi0 = sc.coherent_state(ps.PositionGrid(-8.0, 8.0, 64), PAR, 1.0, 0.0)
     return sc.equivalence_report(phi0, 1.234, PAR, grid)
 
@@ -274,7 +274,7 @@ def test_worker_is_joined_on_return():
 def test_concurrent_reports_match_the_serial_routes():
     # more callers than cores, switching threads often: every report still
     # equals the serial composition, so the routes share no mutable state
-    grid = ps.default_grid(8.0, 64)
+    grid = ps.default_grid(8.0, 64, PAR)
     phi0 = sc.coherent_state(ps.PositionGrid(-8.0, 8.0, 64), PAR, 1.0, 0.5)
     expected = _serial_equivalence(phi0, 2.9, grid)
     reports = [None] * 6

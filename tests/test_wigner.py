@@ -10,7 +10,7 @@ from phaseq import wigner as wg
 from phaseq.errors import GridMismatch, NonHermitianInput
 
 PAR = ps.NATURAL
-GRID = ps.default_grid(8.0, 256)
+GRID = ps.default_grid(8.0, 256, PAR)
 LINE = GRID.line
 
 
@@ -33,7 +33,7 @@ def test_forward_output_is_hermitian():
     rng = np.random.default_rng(21)
     raw = rng.random((64, 64))
     raw /= raw.sum() * (16.0 / 64) ** 2
-    density = ps.PhaseDensity(ps.default_grid(8.0, 64), raw, 0.0)
+    density = ps.PhaseDensity(ps.default_grid(8.0, 64, PAR), raw, 0.0)
     rho = wg.wigner_forward(density, PAR)
     assert _mirror_defect(rho) < 1e-12
 
@@ -77,7 +77,7 @@ def test_inverse_checks_the_mirror_of_every_row(size, raises):
 
 def test_inverse_reports_a_discarded_imaginary_residue(capsys):
     # a uniform imaginary offset keeps the mirror defect at 2e-8, under the gate
-    grid = ps.default_grid(8.0, 64)
+    grid = ps.default_grid(8.0, 64, PAR)
     rho = wg.wavefunction_to_slice(sc.coherent_state(grid.line, PAR, 0.0, 0.0), grid, PAR)
     wg.wigner_inverse(rho)
     assert capsys.readouterr().err == ""
@@ -182,7 +182,7 @@ def _two_call_slice(phi, grid, par):
 @pytest.mark.parametrize("n", [64, 256])
 @pytest.mark.parametrize("par", [PAR, ps.PhysParams(2.54, 0.41, 0.28)])
 def test_slice_matches_two_call_construction_bit_for_bit(n, par):
-    grid = ps.default_grid(8.0, n)
+    grid = ps.default_grid(8.0, n, par)
     line = ps.PositionGrid(-8.0, 8.0, n)
     for state in (sc.coherent_state(line, par, q0=1.0, p0=0.5),
                   sc.hermite_eigenstate(3, line, par)):
