@@ -3,19 +3,22 @@
     python benchmarks/bench_transport.py [--parent SRC] [--out BENCH_transport.json]
 
 Each row times ``phasespace.liouville_propagate`` of a Gaussian density
-centred at (0.7, -1.1) on the square (q, p/m omega) lattice: q on
-[-10, 10) and p on m omega times that.  The rows are n in {256, 512, 1024}
-at the angles omega t in {0.3, 1.234, 3.0, -2.5, pi/2} in natural units,
-plus one row at (m, omega, hbar) = (2.54, 0.41, 0.28).  Every row runs once
+centred at (0.7, -1.1) on the square (q, p/m omega) lattice of
+``phasespace.default_grid(10, n, par)``: q on [-10, 10) and p on m omega
+times that.  The rows are n in {256, 512, 1024} at the angles omega t in
+{0.3, 1.234, 3.0, -2.5, pi/2} in natural units, plus one row at
+(m, omega, hbar) = (2.54, 0.41, 0.28).  Every row runs once
 to warm up, then REPEATS times; it records the min and the median in
 milliseconds.
 
 The tree of this script is measured as "change".  ``--parent`` names the
 ``src`` directory of another checkout, measured as "parent" side by side.
 Each side runs in its own interpreter with one BLAS thread, alternating
-sides grid by grid so that host drift falls on both.  The lattice is built
-here from ``PhaseGrid``, which every tree has, so both sides run the same
-rows.  Each run appends one record, parent and change, to the list in --out.
+sides grid by grid so that host drift falls on both.  The lattice comes
+from ``default_grid(extent, n, par)``, whose signature and lattice are the
+same in every tree since the square lattice landed, so both sides run the
+same rows.  Each run appends one record, parent and change, to the list in
+--out.
 """
 
 from __future__ import annotations
@@ -55,8 +58,7 @@ def measure(n: int) -> list[dict]:
     results = []
     for params, angle in _rows(n):
         par = ps.PhysParams(*params)
-        mw = par.m * par.omega
-        grid = ps.PhaseGrid(-EXTENT, EXTENT, mw * -EXTENT, mw * EXTENT, n, n)
+        grid = ps.default_grid(EXTENT, n, par)
         density = ps.gaussian_density(grid, par, *CENTRE)
         times = []
         for _ in range(1 + REPEATS):

@@ -159,7 +159,7 @@ def _parse_state(spec: str, grid: PhaseGrid, config: SuiteConfig):
             q0, p0 = float(q0_text), float(p0_text)
             if abs(p0) >= grid.p_max:  # the transforms would alias it into the window
                 raise ValueError(f"momentum {p0:g} is outside the grid's momentum window "
-                                 f"({grid.p_min:g}, {grid.p_max:g})")
+                                 f"({-grid.p_max:g}, {grid.p_max:g})")
             return coherent_state(grid.line, config.params, q0, p0)
     except (ValueError, PhaseqError) as exc:
         raise ConfigError(f"invalid state specification {spec!r}: {exc}") from exc
@@ -172,7 +172,7 @@ def cmd_evolve(args) -> int:
     config = _load_config(args.config)
     grid = config.grid()
     try:
-        n_steps = default_steps(grid.n_q, args.time, config.params.omega)
+        n_steps = default_steps(grid.n, args.time, config.params.omega)
     except OverflowError:  # omega * time beyond the float range
         n_steps = math.inf
     if n_steps > MAX_EVOLVE_STEPS:
@@ -191,7 +191,7 @@ def cmd_evolve(args) -> int:
         "state": args.state,
         "time": args.time,
         "n_steps": comparison.n_steps,
-        "grid_points": [grid.n_q, grid.n_p],
+        "grid_points": [grid.n, grid.n],
         "l2_distance": comparison.l2_distance,
         "max_distance": comparison.max_distance,
     }

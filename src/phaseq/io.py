@@ -2,7 +2,7 @@
 
 Matrix fields go to plain CSV (rows follow the q index ascending, columns
 the second index ascending) and 1D fields to column CSV, each with a JSON
-sidecar holding its grid's fields and the time.
+sidecar holding the time and the bounds and point counts of its centred grid.
 
 Every CSV cell is written as ``'%.17g' % value``, which round-trips each
 float64.  ``_write_csv`` computes those bytes with numpy array arithmetic
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -224,18 +223,24 @@ def save_phase_density(density: PhaseDensity, stem) -> tuple[Path, Path]:
     csv_path = stem.with_suffix(".csv")
     _write_csv(csv_path, density.values)
     json_path = stem.with_suffix(".json")
-    write_json(json_path, {**asdict(density.grid), "time": density.time})
+    grid = density.grid
+    write_json(json_path, dict(q_min=-grid.q_max, q_max=grid.q_max, p_min=-grid.p_max,
+                               p_max=grid.p_max, n_q=grid.n, n_p=grid.n, time=density.time))
     return csv_path, json_path
+
+
+def _require(meta: dict, **expected) -> None:
+    for key, value in expected.items():
+        if meta[key] != value:
+            raise ValueError(f"sidecar {key} is {meta[key]!r}, not {value!r} as on a centred grid")
 
 
 def load_phase_density(stem) -> PhaseDensity:
     stem = Path(stem)
     meta = json.loads(stem.with_suffix(".json").read_text())
-    grid = PhaseGrid(
-        meta["q_min"], meta["q_max"], meta["p_min"], meta["p_max"],
-        int(meta["n_q"]), int(meta["n_p"]),
-    )
-    values = np.loadtxt(stem.with_suffix(".csv"), delimiter=",").reshape(grid.n_q, grid.n_p)
+    _require(meta, q_min=-meta["q_max"], p_min=-meta["p_max"], n_p=meta["n_q"])
+    grid = PhaseGrid(meta["q_max"], meta["p_max"], int(meta["n_q"]))
+    values = np.loadtxt(stem.with_suffix(".csv"), delimiter=",").reshape(grid.n, grid.n)
     return PhaseDensity(grid, values, meta["time"])
 
 
@@ -245,14 +250,16 @@ def save_wavefunction(phi: WaveFunction, stem) -> tuple[Path, Path]:
     table = np.column_stack([phi.grid.q, phi.values.real, phi.values.imag])
     _write_csv(csv_path, table, header="q,re,im")
     json_path = stem.with_suffix(".json")
-    write_json(json_path, {**asdict(phi.grid), "time": phi.time})
+    grid = phi.grid
+    write_json(json_path, dict(q_min=-grid.q_max, q_max=grid.q_max, n=grid.n, time=phi.time))
     return csv_path, json_path
 
 
 def load_wavefunction(stem) -> WaveFunction:
     stem = Path(stem)
     meta = json.loads(stem.with_suffix(".json").read_text())
-    grid = PositionGrid(meta["q_min"], meta["q_max"], int(meta["n"]))
+    _require(meta, q_min=-meta["q_max"])
+    grid = PositionGrid(meta["q_max"], int(meta["n"]))
     table = np.loadtxt(stem.with_suffix(".csv"), delimiter=",", skiprows=1)
     return WaveFunction(grid, table[:, 1] + 1j * table[:, 2], meta["time"])
 

@@ -1,10 +1,10 @@
 """Phase-space grids, the classical oscillator flow, and Liouville transport.
 
 Both grids live here, with power-of-two point counts so the transform
-modules can run exact discrete Fourier pairs on the same data.  Densities
-live on a rectangular (q, p) PhaseGrid and states on a 1D PositionGrid; a
-state pairs with the densities of the phase grid whose q axis it samples,
-``PhaseGrid.line``.
+modules can run exact discrete Fourier pairs on the same data.  Both are
+centred windows set by half-widths: densities live on an n x n PhaseGrid over
+[-q_max, q_max) x [-p_max, p_max) and states on a PositionGrid over its q axis,
+``PhaseGrid.line``, which pairs each state with the densities of its grid.
 
 For the oscillator, Liouville transport is a rigid rotation of (q, p/m w)
 on the square lattice of ``default_grid``.  Whole quarter turns are index
@@ -56,70 +56,68 @@ def _is_power_of_two(n) -> bool:
     return isinstance(n, (int, np.integer)) and n >= 2 and (n & (n - 1)) == 0
 
 
+def _check_half_width(name: str, value) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be a positive finite half-width, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PositionGrid:
-    """Uniform 1D grid over [q_min, q_max) with a power-of-two point count."""
+    """Uniform 1D grid over the centred window [-q_max, q_max), n a power of two."""
 
-    q_min: float
     q_max: float
     n: int
 
     def __post_init__(self):
         if not _is_power_of_two(self.n):
             raise ValueError("n must be a power of two (spectral transforms)")
-        if not self.q_max > self.q_min:
-            raise ValueError("grid extent must be strictly ordered")
-
-    @property
-    def dq(self) -> float:
-        return (self.q_max - self.q_min) / self.n
+        _check_half_width("q_max", self.q_max)
 
     @property
     def length(self) -> float:
-        return self.q_max - self.q_min
+        return 2.0 * self.q_max
+
+    @property
+    def dq(self) -> float:
+        return self.length / self.n
 
     @property
     def q(self) -> np.ndarray:
-        return self.q_min + self.dq * np.arange(self.n)
+        return -self.q_max + self.dq * np.arange(self.n)
 
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    """Uniform rectangular grid over [q_min, q_max) x [p_min, p_max)."""
+    """Uniform n x n grid over the centred window [-q_max, q_max) x [-p_max, p_max)."""
 
-    q_min: float
     q_max: float
-    p_min: float
     p_max: float
-    n_q: int
-    n_p: int
+    n: int
 
     def __post_init__(self):
-        if not (_is_power_of_two(self.n_q) and _is_power_of_two(self.n_p)):
-            raise ValueError("n_q and n_p must be powers of two (spectral transforms)")
-        if not (self.q_max > self.q_min and self.p_max > self.p_min):
-            raise ValueError("grid extents must be strictly ordered")
-
-    @property
-    def dq(self) -> float:
-        return (self.q_max - self.q_min) / self.n_q
-
-    @property
-    def dp(self) -> float:
-        return (self.p_max - self.p_min) / self.n_p
-
-    @property
-    def q(self) -> np.ndarray:
-        return self.q_min + self.dq * np.arange(self.n_q)
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.p_min + self.dp * np.arange(self.n_p)
+        self.line  # a PositionGrid, so q_max and n are checked as for states
+        _check_half_width("p_max", self.p_max)
 
     @property
     def line(self) -> PositionGrid:
         """The q axis as a PositionGrid, the grid of the states paired with this grid."""
-        return PositionGrid(self.q_min, self.q_max, self.n_q)
+        return PositionGrid(self.q_max, self.n)
+
+    @property
+    def dq(self) -> float:
+        return self.line.dq
+
+    @property
+    def dp(self) -> float:
+        return 2.0 * self.p_max / self.n
+
+    @property
+    def q(self) -> np.ndarray:
+        return self.line.q
+
+    @property
+    def p(self) -> np.ndarray:
+        return -self.p_max + self.dp * np.arange(self.n)
 
     def meshes(self):
         return np.meshgrid(self.q, self.p, indexing="ij")
@@ -127,8 +125,7 @@ class PhaseGrid:
 
 def default_grid(extent: float, n: int, par: PhysParams) -> PhaseGrid:
     """The square (q, p/m w) lattice: q on [-extent, extent), p on m w times that."""
-    mw = par.m * par.omega
-    return PhaseGrid(-extent, extent, mw * -extent, mw * extent, n, n)
+    return PhaseGrid(extent, par.m * par.omega * extent, n)
 
 
 def field_values(values, dtype, shape: tuple, what: str) -> np.ndarray:
@@ -157,7 +154,7 @@ class PhaseDensity:
 
     def __post_init__(self):
         self.values = field_values(
-            self.values, np.float64, (self.grid.n_q, self.grid.n_p), "density values"
+            self.values, np.float64, (self.grid.n, self.grid.n), "density values"
         )
 
     def mass(self) -> float:
@@ -224,19 +221,19 @@ def liouville_propagate(f: PhaseDensity, t: float, par: PhysParams) -> PhaseDens
 
     The flow turns (q, v = p/m w) clockwise by the angle w t, reduced to
     [-pi, pi] so that whole periods are the identity.  The density must live
-    on the square lattice of ``default_grid`` (n_q == n_p, with q and v over
-    one window [-L, L), in exact float equality), which a quarter turn maps
-    onto itself; any other lattice raises GridMismatch.  The nearest whole
-    quarter turns are an index map, and the remaining |a| <= pi/4 is one
-    sub-rotation of three shears (Paeth 1986): q += tan(a/2) v, then
-    v -= sin(a) q, then q += tan(a/2) v again.  Every shear translates each
-    grid line by a spectral phase ramp, exact for band-limited densities;
-    content pushed out of the window is dropped rather than wrapped.
+    on the square lattice of ``default_grid``, where p_max == m w q_max in
+    exact float equality, so that q and v span one window [-L, L) that a
+    quarter turn maps onto itself; a grid built for another m w raises
+    GridMismatch.  The nearest whole quarter turns are an index map, and the
+    remaining |a| <= pi/4 is one sub-rotation of three shears (Paeth 1986):
+    q += tan(a/2) v, then v -= sin(a) q, then q += tan(a/2) v again.  Every
+    shear translates each grid line by a spectral phase ramp, exact for
+    band-limited densities; content pushed out of the window is dropped
+    rather than wrapped.
     """
     grid = f.grid
     mw = par.m * par.omega
-    if not (grid.n_q == grid.n_p and grid.q_min == -grid.q_max
-            and grid.p_max == mw * grid.q_max and grid.p_min == mw * grid.q_min):
+    if grid.p_max != mw * grid.q_max:
         raise GridMismatch("transport needs the square (q, p/m omega) lattice of default_grid")
     theta = math.remainder(par.omega * t, 2.0 * math.pi)
     quarters = round(theta / (math.pi / 2.0))
@@ -244,12 +241,9 @@ def liouville_propagate(f: PhaseDensity, t: float, par: PhysParams) -> PhaseDens
     new_values = _quarter_turned(f.values, quarters)
     if a:
         # a shear moving q by b v samples the density at q - b v
-        shear_q = _spectral.shear(
-            grid.n_q, grid.q_max - grid.q_min, -math.tan(0.5 * a) * grid.p / mw, axis=0
-        )
-        shear_p = _spectral.shear(
-            grid.n_p, grid.p_max - grid.p_min, math.sin(a) * mw * grid.q, axis=1
-        )
+        b = math.tan(0.5 * a)
+        shear_q = _spectral.shear(grid.n, 2.0 * grid.q_max, -b * grid.p / mw, axis=0)
+        shear_p = _spectral.shear(grid.n, 2.0 * grid.p_max, math.sin(a) * mw * grid.q, axis=1)
         shear_q(shear_p(shear_q(new_values)))  # each shear works in place
         del shear_q, shear_p  # free the ramps before frame_mass takes |values|
     result = PhaseDensity(grid, new_values, f.time + t)

@@ -187,7 +187,7 @@ class _Context:
         self.par = config.params
         # fixed 256^2 grid for entries with grid-pinned tolerances
         self.reference_grid = phasespace.default_grid(8.0, 256, self.par)
-        self.line_grid = phasespace.PositionGrid(-10.0, 10.0, 512)
+        self.line_grid = phasespace.PositionGrid(10.0, 512)
 
     @functools.cached_property
     def spin_ops(self) -> spin.TwoModeOperators:
@@ -311,7 +311,7 @@ def _check_slice_equation(ctx: _Context, rng):
     behind = _coherent_on_grid(ctx, t0 - dt)
     here = _coherent_on_grid(ctx, t0)
     rho_t = (ahead.values - behind.values) / (2.0 * dt)
-    length_d = here.delta_step * grid.n_p
+    length_d = here.delta_step * grid.n
     mixed = spectral_derivative(spectral_derivative(here.values.T, grid.line.length).T, length_d)
     qs = grid.q[:, None]
     ds = here.delta[None, :]
@@ -366,8 +366,8 @@ def _check_first_order_structure(ctx: _Context, rng):
     grid = ctx.reference_grid
     state = schrodinger.coherent_state(grid.line, par, 1.0, 0.7)
     rho = wigner.wavefunction_to_slice(state, grid, par)
-    length_d = rho.delta_step * grid.n_p
-    d_offset = spectral_derivative(rho.values, length_d)[:, grid.n_p // 2]
+    length_d = rho.delta_step * grid.n
+    d_offset = spectral_derivative(rho.values, length_d)[:, grid.n // 2]
     pair = madelung.decompose(state, par)
     expected = 1j / par.hbar * pair.amplitude ** 2 * madelung.phase_gradient(pair, par)
     mask = pair.valid_mask()
@@ -422,7 +422,7 @@ def _check_equivalence(ctx: _Context, rng):
     period = 2.0 * np.pi / par.omega
     report = schrodinger.equivalence_report(state, period, par, grid)
     return report.l2_distance, (
-        f"L2 distance between transport routes at {grid.n_q}^2, "
+        f"L2 distance between transport routes at {grid.n}^2, "
         f"{report.n_steps} steps; max distance {report.max_distance:.3e}"
     )
 
@@ -661,7 +661,7 @@ def _check_spectrum(ctx: _Context, rng):
     truncation = ctx.config.truncation
     count = min(truncation - 1, 63)
     length = math.sqrt(par.hbar / (par.m * par.omega))
-    grid = phasespace.PositionGrid(-14.0 * length, 14.0 * length, 128)
+    grid = phasespace.PositionGrid(14.0 * length, 128)
     potential, kinetic = schrodinger.hamiltonian_terms(grid, par)
     quantum = par.hbar * par.omega
     # the kinetic operator is the circulant matrix diagonal in the Fourier basis

@@ -111,7 +111,7 @@ def step_phase_bound(extent: float, n: int, par: PhysParams) -> float:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         par = PhysParams(*(np.float64(v) for v in (par.m, par.omega, par.hbar)))
-        potential, kinetic = hamiltonian_terms(PositionGrid(-extent, extent, n), par)
+        potential, kinetic = hamiltonian_terms(PositionGrid(extent, n), par)
         dt = 2.0 * np.pi / (40.0 * par.omega)
         return float(np.maximum(0.5 * potential.max(), kinetic.max()) * dt / par.hbar)
 
@@ -209,7 +209,7 @@ def equivalence_report(
     """
     from . import wigner  # deferred: wigner imports this module's types
 
-    n_steps = default_steps(grid.n_q, t, par.omega)
+    n_steps = default_steps(grid.n, t, par.omega)
     route_b = {}
 
     def transport():

@@ -27,7 +27,7 @@ PURITY_THRESHOLD = 0.999
 class DensitySlice:
     """Complex field rho(q, dq) on the reciprocal (q, offset) grid.
 
-    Column k corresponds to offset (k - n_p//2) * delta_step, the offset
+    Column k corresponds to offset (k - n//2) * delta_step, the offset
     step fixed by the underlying grid.
     """
 
@@ -38,7 +38,7 @@ class DensitySlice:
 
     def __post_init__(self):
         self.values = field_values(
-            self.values, np.complex128, (self.grid.n_q, self.grid.n_p), "slice values"
+            self.values, np.complex128, (self.grid.n, self.grid.n), "slice values"
         )
 
     @property
@@ -47,30 +47,28 @@ class DensitySlice:
 
     @property
     def delta(self) -> np.ndarray:
-        n = self.grid.n_p
-        return (np.arange(n) - n // 2) * self.delta_step
+        return (np.arange(self.grid.n) - self.grid.n // 2) * self.delta_step
 
 
 def _offset_step(grid: PhaseGrid, hbar: float) -> float:
-    """The offset spacing 2 pi hbar / (n_p dp) that reciprocity ties to the momentum grid."""
-    return 2.0 * np.pi * hbar / (grid.n_p * grid.dp)
+    """The offset spacing 2 pi hbar / (n dp) that reciprocity ties to the momentum grid."""
+    return 2.0 * np.pi * hbar / (grid.n * grid.dp)
 
 
 def _transform_phases(grid: PhaseGrid, delta: np.ndarray, hbar: float):
-    j = np.arange(grid.n_p)
+    j = np.arange(grid.n)
     inner = np.exp(1j * j * grid.dp * delta[0] / hbar)
-    outer = np.exp(1j * grid.p_min * delta / hbar)
+    outer = np.exp(1j * -grid.p_max * delta / hbar)
     return inner, outer
 
 
 def wigner_forward(f: PhaseDensity, par: PhysParams) -> DensitySlice:
     """Integrate F against exp(+i p dq / hbar) dp along the momentum axis."""
     grid = f.grid
-    n = grid.n_p
-    delta = (np.arange(n) - n // 2) * _offset_step(grid, par.hbar)
+    delta = (np.arange(grid.n) - grid.n // 2) * _offset_step(grid, par.hbar)
     inner, outer = _transform_phases(grid, delta, par.hbar)
     spectra = np.fft.ifft(f.values * inner[None, :], axis=1)
-    values = grid.dp * n * outer[None, :] * spectra
+    values = grid.dp * grid.n * outer[None, :] * spectra
     return DensitySlice(grid, values, f.time, par.hbar)
 
 
@@ -85,10 +83,10 @@ def wigner_inverse(rho: DensitySlice) -> PhaseDensity:
     inner, outer = _transform_phases(grid, rho.delta, rho.hbar)
     kernel = np.conj(outer)[None, :]
     weight = (rho.delta_step / (2.0 * np.pi * rho.hbar)) * np.conj(inner)[None, :]
-    mirror = -np.arange(grid.n_p) % grid.n_p  # column j <- column -j mod n
-    density = np.empty((grid.n_q, grid.n_p))
+    mirror = -np.arange(grid.n) % grid.n  # column j <- column -j mod n
+    density = np.empty((grid.n, grid.n))
     peak = gap = scale = residue = 0.0
-    for start in range(0, grid.n_q, _spectral.BLOCK):
+    for start in range(0, grid.n, _spectral.BLOCK):
         rows = slice(start, start + _spectral.BLOCK)
         block = rho.values[rows]
         peak = max(peak, np.abs(block).max())
@@ -123,10 +121,10 @@ def wavefunction_to_slice(
     """
     if phi.grid != grid.line:
         raise GridMismatch("phase grid q axis must match the wavefunction grid")
-    n = grid.n_p
+    n = grid.n
     half = n // 2
     shifts = (np.arange(n + 1) - half) * _offset_step(grid, par.hbar) / 2.0
-    values = np.empty((grid.n_q, n), dtype=np.complex128)
+    values = np.empty((n, n), dtype=np.complex128)
     for start in range(0, half + 1, _spectral.BLOCK):
         stop = min(start + _spectral.BLOCK, half + 1)
         j = np.arange(start, stop)

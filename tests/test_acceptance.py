@@ -70,7 +70,7 @@ def test_criterion_03_classical_quantum_equivalence():
         reports = {}
         for n in (128, 256):
             grid = ps.default_grid(8.0, n, PAR)
-            line = ps.PositionGrid(-8.0, 8.0, n)
+            line = ps.PositionGrid(8.0, n)
             state = sc.coherent_state(line, PAR, 1.0, 0.0)
             reports[n] = sc.equivalence_report(state, period, PAR, grid)
     fine = reports[256]
@@ -97,7 +97,7 @@ def test_criterion_04_transform_pair():
 
 
 def test_criterion_05_fluid_residuals():
-    grid = ps.PositionGrid(-10.0, 10.0, 512)
+    grid = ps.PositionGrid(10.0, 512)
     with _Timer() as timer:
         worst = 0.0
         dt = 0.05
@@ -178,7 +178,7 @@ def test_criterion_09_circle_action():
 
 
 def test_criterion_10_pure_state_factorisation():
-    grid = ps.PositionGrid(-10.0, 10.0, 256)
+    grid = ps.PositionGrid(10.0, 256)
     rng = np.random.default_rng(104)
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dq)
     with _Timer() as timer:

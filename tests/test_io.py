@@ -1,6 +1,7 @@
 """Round trips and format contracts for the CSV/JSON exports."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -30,7 +31,7 @@ def test_phase_density_round_trip(tmp_path):
 
 
 def test_wavefunction_round_trip(tmp_path):
-    grid = ps.PositionGrid(-8.0, 8.0, 64)
+    grid = ps.PositionGrid(8.0, 64)
     state = sc.coherent_state(grid, PAR, q0=0.5, p0=1.0)
     io.save_wavefunction(state, tmp_path / "state")
     loaded = io.load_wavefunction(tmp_path / "state")
@@ -40,6 +41,40 @@ def test_wavefunction_round_trip(tmp_path):
     assert header == "q,re,im"
     meta = json.loads((tmp_path / "state.json").read_text())
     assert set(meta) == {"q_min", "q_max", "n", "time"}
+
+
+def _edit_sidecar(path, changes):
+    meta = json.loads(path.read_text())
+    meta.update(changes)
+    path.write_text(json.dumps(meta))
+
+
+# hand-edited sidecars: each names the key a centred (square) grid cannot hold
+@pytest.mark.parametrize("changes, key", [
+    ({"q_min": -3.5}, "q_min"),
+    ({"p_min": -3.5}, "p_min"),
+    ({"n_p": 16}, "n_p"),
+    ({"q_min": -math.inf, "q_max": math.inf}, "q_max"),
+    ({"p_min": -math.inf, "p_max": math.inf}, "p_max"),
+], ids=["off-centre-q", "off-centre-p", "rectangular", "infinite-q", "infinite-p"])
+def test_density_loader_refuses_what_a_centred_grid_cannot_hold(tmp_path, changes, key):
+    grid = ps.default_grid(4.0, 32, PAR)
+    io.save_phase_density(ps.gaussian_density(grid, PAR, q0=0.5), tmp_path / "field")
+    _edit_sidecar(tmp_path / "field.json", changes)
+    with pytest.raises(ValueError, match=key):
+        io.load_phase_density(tmp_path / "field")
+
+
+@pytest.mark.parametrize("changes, key", [
+    ({"q_min": -7.5}, "q_min"),
+    ({"q_min": -math.inf, "q_max": math.inf}, "q_max"),
+], ids=["off-centre", "infinite"])
+def test_wavefunction_loader_refuses_what_a_centred_grid_cannot_hold(tmp_path, changes, key):
+    grid = ps.PositionGrid(8.0, 64)
+    io.save_wavefunction(sc.coherent_state(grid, PAR, q0=0.5, p0=1.0), tmp_path / "state")
+    _edit_sidecar(tmp_path / "state.json", changes)
+    with pytest.raises(ValueError, match=key):
+        io.load_wavefunction(tmp_path / "state")
 
 
 def test_spectrum_csv_contract(tmp_path):
@@ -142,7 +177,7 @@ def test_phase_density_bytes_match_savetxt(tmp_path, par):
 
 @pytest.mark.parametrize("par", [PAR, ODD], ids=["natural", "odd"])
 def test_wavefunction_bytes_match_savetxt(tmp_path, par):
-    grid = ps.PositionGrid(-8.0, 8.0, 64)
+    grid = ps.PositionGrid(8.0, 64)
     state = sc.coherent_state(grid, par, q0=0.5, p0=1.0)
     csv_path, _ = io.save_wavefunction(state, tmp_path / "state")
     table = np.column_stack([grid.q, state.values.real, state.values.imag])

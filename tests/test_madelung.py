@@ -10,7 +10,7 @@ from phaseq import schrodinger as sc
 from phaseq.errors import AllZero, GridMismatch
 
 PAR = ps.NATURAL
-GRID = ps.PositionGrid(-10.0, 10.0, 512)
+GRID = ps.PositionGrid(10.0, 512)
 
 
 def _masked_max(res):
@@ -99,7 +99,7 @@ def test_coherent_state_continuity():
 
 
 def test_uniform_fields_give_zero():
-    ring = ps.PositionGrid(0.0, 2.0 * np.pi, 128)
+    ring = ps.PositionGrid(np.pi, 128)
     pair = md.MadelungPair(ring, np.ones(128), np.zeros(128))
     res = md.continuity_residual(pair, pair, 0.1, PAR)
     assert _masked_max(res) == 0.0
@@ -111,7 +111,7 @@ def test_uniform_fields_give_zero():
     (-1.0, 0.0, "amplitude must be nonnegative"),
 ], ids=["nan-amplitude", "infinite-action", "negative-amplitude"])
 def test_pair_admits_only_finite_fields_and_a_nonnegative_amplitude(amplitude, action, message):
-    ring = ps.PositionGrid(0.0, 2.0 * np.pi, 128)
+    ring = ps.PositionGrid(np.pi, 128)
     amplitudes, actions = np.ones(128), np.zeros(128)
     amplitudes[7], actions[7] = amplitude, action
     with pytest.raises(ValueError, match=message):
@@ -121,7 +121,7 @@ def test_pair_admits_only_finite_fields_and_a_nonnegative_amplitude(amplitude, a
 
 
 def test_grid_mismatch_rejected():
-    other = ps.PositionGrid(-8.0, 8.0, 256)
+    other = ps.PositionGrid(8.0, 256)
     a = md.decompose(sc.hermite_eigenstate(0, GRID, PAR), PAR)
     b = md.decompose(sc.hermite_eigenstate(0, other, PAR), PAR)
     with pytest.raises(GridMismatch):

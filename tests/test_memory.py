@@ -25,7 +25,7 @@ from phaseq import wigner as wg
 PAR = ps.NATURAL
 N = 512
 GRID = ps.default_grid(10.0, N, PAR)
-LINE = ps.PositionGrid(-10.0, 10.0, N)
+LINE = ps.PositionGrid(10.0, N)
 FIELD = N * N * 8
 
 # The complex slice (2 fields) and the density (1) are the results; the

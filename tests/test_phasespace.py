@@ -70,32 +70,49 @@ def test_flow_group_action():
 
 def test_grid_requires_power_of_two():
     with pytest.raises(ValueError):
-        ps.PhaseGrid(-8.0, 8.0, -8.0, 8.0, 100, 128)
+        ps.PhaseGrid(8.0, 8.0, 100)
 
 
 def test_grid_requires_ordered_extents():
+    # a negative half-width is the window [8, -8)
     with pytest.raises(ValueError):
-        ps.PhaseGrid(8.0, -8.0, -8.0, 8.0, 128, 128)
+        ps.PhaseGrid(-8.0, 8.0, 128)
+
+
+HALF_WIDTH = "q_max must be a positive finite half-width"
 
 
 @pytest.mark.parametrize("args, message", [
-    ((-8.0, 8.0, 100), "n must be a power of two"),
-    ((-8.0, 8.0, 1), "n must be a power of two"),
-    ((8.0, -8.0, 64), "grid extent must be strictly ordered"),
-    ((8.0, 8.0, 64), "grid extent must be strictly ordered"),
+    ((8.0, 100), "n must be a power of two"),
+    ((8.0, 1), "n must be a power of two"),
+    ((-8.0, 64), HALF_WIDTH),
+    ((0.0, 64), HALF_WIDTH),
+    ((math.inf, 64), HALF_WIDTH),
+    ((math.nan, 64), HALF_WIDTH),
 ])
 def test_position_grid_validation(args, message):
     with pytest.raises(ValueError, match=message):
         ps.PositionGrid(*args)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((math.inf, 8.0, 64), HALF_WIDTH),
+    ((8.0, math.inf, 64), "p_max must be a positive finite half-width"),
+    ((8.0, 0.0, 64), "p_max must be a positive finite half-width"),
+])
+def test_phase_grid_validation(args, message):
+    with pytest.raises(ValueError, match=message):
+        ps.PhaseGrid(*args)
+
+
 def test_line_is_the_q_axis():
-    grid = ps.PhaseGrid(-8.0, 6.0, -3.0, 3.0, 64, 128)
+    grid = ps.PhaseGrid(8.0, 3.0, 64)
     line = grid.line
-    assert line == ps.PositionGrid(-8.0, 6.0, 64)
-    assert line.dq == grid.dq
-    assert line.length == grid.q_max - grid.q_min
+    assert line == ps.PositionGrid(8.0, 64)
+    assert line.dq == grid.dq == 0.25
+    assert line.length == 16.0
     assert np.array_equal(line.q, grid.q)
+    assert (grid.q[0], grid.p[0], grid.dp) == (-8.0, -3.0, 6.0 / 64)
 
 
 def test_density_shape_checked():
@@ -215,9 +232,9 @@ def test_square_lattice_shears_one_sub_rotation_at_most(monkeypatch, angle, par)
 
 
 @pytest.mark.parametrize("par, grid", [
-    (NON_NATURAL, ps.PhaseGrid(-8.0, 8.0, -8.0, 8.0, 256, 256)),
-    (PAR, ps.PhaseGrid(-4.0, 12.0, -4.0, 12.0, 256, 256)),
-], ids=["non-natural", "asymmetric"])
+    (NON_NATURAL, ps.PhaseGrid(8.0, 8.0, 256)),
+    (PAR, ps.PhaseGrid(8.0, 4.0, 256)),
+], ids=["non-natural", "rectangular"])
 def test_other_lattices_are_refused(par, grid):
     density = ps.gaussian_density(grid, par, q0=0.0)
     with pytest.raises(GridMismatch, match="square"):
@@ -263,7 +280,7 @@ def test_no_ghost_at_opposite_edge():
     density = ps.gaussian_density(grid, par, q0=-6.0, p0=6.5)
     moved = ps.liouville_propagate(density, 0.7, par)
     assert ps.hamilton_flow(ps.PhasePoint(-6.0, 6.5), 0.7, par).p > grid.p_max
-    bottom = grid.p < grid.p_min + 2.0
+    bottom = grid.p < -grid.p_max + 2.0
     assert np.abs(moved.values[:, bottom]).max() <= 1e-12
 
 

@@ -14,7 +14,7 @@ from phaseq import wigner as wg
 from phaseq.errors import BoundaryLeak, GridTooNarrow
 
 PAR = ps.NATURAL
-GRID = ps.PositionGrid(-10.0, 10.0, 512)
+GRID = ps.PositionGrid(10.0, 512)
 
 
 def test_ground_state_peak_value():
@@ -44,7 +44,7 @@ def test_sign_changes_count_matches_index():
 
 
 def test_narrow_grid_rejected():
-    narrow = ps.PositionGrid(-5.0, 5.0, 128)
+    narrow = ps.PositionGrid(5.0, 128)
     with pytest.raises(GridTooNarrow):
         sc.hermite_eigenstate(20, narrow, PAR)
 
@@ -89,7 +89,7 @@ def test_norm_preserved_over_many_steps():
 
 
 def test_wall_crash_raises():
-    state = sc.coherent_state(ps.PositionGrid(-8.0, 8.0, 256), PAR, q0=0.0, p0=6.5)
+    state = sc.coherent_state(ps.PositionGrid(8.0, 256), PAR, q0=0.0, p0=6.5)
     with pytest.raises(BoundaryLeak):
         sc.split_step_evolve(state, np.pi / 2.0, 256, PAR)
 
@@ -124,7 +124,7 @@ def test_energy_expectation_is_linear():
 
 def _equivalence(n, state_builder, t):
     grid = ps.default_grid(8.0, n, PAR)
-    line = ps.PositionGrid(-8.0, 8.0, n)
+    line = ps.PositionGrid(8.0, n)
     return sc.equivalence_report(state_builder(line), t, PAR, grid)
 
 
@@ -142,7 +142,7 @@ def test_equivalence_coherent_period():
 
 def test_equivalence_eigenstate_stationary():
     grid = ps.default_grid(8.0, 256, PAR)
-    line = ps.PositionGrid(-8.0, 8.0, 256)
+    line = ps.PositionGrid(8.0, 256)
     state = sc.hermite_eigenstate(1, line, PAR)
     report = sc.equivalence_report(state, 1.7, PAR, grid)
     assert report.l2_distance < 1e-3
@@ -174,7 +174,7 @@ def test_equivalence_refinement_order():
 def _serial_equivalence(phi0, t, grid):
     """The routes one after the other, as equivalence_report ran them before
     route B moved to a worker thread."""
-    n_steps = sc.default_steps(grid.n_q, t, PAR.omega)
+    n_steps = sc.default_steps(grid.n, t, PAR.omega)
     f0 = wg.wavefunction_to_density(phi0, grid, PAR)
     phi_t = phi0 if t == 0.0 else sc.split_step_evolve(phi0, t, n_steps, PAR)
     quantum = wg.wavefunction_to_density(phi_t, grid, PAR)
@@ -195,7 +195,7 @@ STATES = {
 @pytest.mark.parametrize("state", sorted(STATES))
 def test_equivalence_equals_the_serial_routes(n, t, state):
     grid = ps.default_grid(8.0, n, PAR)
-    phi0 = STATES[state](ps.PositionGrid(-8.0, 8.0, n))
+    phi0 = STATES[state](ps.PositionGrid(8.0, n))
     report = sc.equivalence_report(phi0, t, PAR, grid)
     f0, phi_t, classical, l2, max_distance = _serial_equivalence(phi0, t, grid)
     assert np.array_equal(report.initial.values, f0.values)
@@ -227,7 +227,7 @@ def _failing(error, delay=0.0):
 
 def _run_small():
     grid = ps.default_grid(8.0, 64, PAR)
-    phi0 = sc.coherent_state(ps.PositionGrid(-8.0, 8.0, 64), PAR, 1.0, 0.0)
+    phi0 = sc.coherent_state(ps.PositionGrid(8.0, 64), PAR, 1.0, 0.0)
     return sc.equivalence_report(phi0, 1.234, PAR, grid)
 
 
@@ -275,7 +275,7 @@ def test_concurrent_reports_match_the_serial_routes():
     # more callers than cores, switching threads often: every report still
     # equals the serial composition, so the routes share no mutable state
     grid = ps.default_grid(8.0, 64, PAR)
-    phi0 = sc.coherent_state(ps.PositionGrid(-8.0, 8.0, 64), PAR, 1.0, 0.5)
+    phi0 = sc.coherent_state(ps.PositionGrid(8.0, 64), PAR, 1.0, 0.5)
     expected = _serial_equivalence(phi0, 2.9, grid)
     reports = [None] * 6
 
@@ -306,7 +306,7 @@ def test_concurrent_reports_match_the_serial_routes():
 ])
 def test_step_phase_bound_covers_the_evolver(extent, n, par, t):
     # the phases split_step_evolve forms at the largest step the floor admits
-    grid = ps.PositionGrid(-extent, extent, n)
+    grid = ps.PositionGrid(extent, n)
     dt = t / sc.minimum_steps(t, par.omega)
     k = _spectral.wavenumbers(n, grid.length)
     potential = np.abs(0.25 * par.m * par.omega ** 2 * grid.q ** 2 * dt / par.hbar).max()

@@ -100,10 +100,10 @@ def test_inverse_of_first_excited_slice():
 
 def test_offset_independent_slice_concentrates_at_zero_momentum():
     profile = np.exp(-GRID.q ** 2)
-    values = np.repeat(profile[:, None], GRID.n_p, axis=1).astype(complex)
+    values = np.repeat(profile[:, None], GRID.n, axis=1).astype(complex)
     rho = wg.DensitySlice(GRID, values, 0.0, PAR.hbar)
     density = wg.wigner_inverse(rho)
-    zero_col = GRID.n_p // 2
+    zero_col = GRID.n // 2
     others = np.delete(density.values, zero_col, axis=1)
     assert np.abs(others).max() < 1e-12 * np.abs(density.values).max()
 
@@ -120,7 +120,7 @@ def test_slice_of_ground_state_matches_closed_form():
 def test_slice_diagonal_is_probability_density():
     state = sc.coherent_state(LINE, PAR, q0=1.0, p0=0.4)
     rho = wg.wavefunction_to_slice(state, GRID, PAR)
-    diag = rho.values[:, GRID.n_p // 2]
+    diag = rho.values[:, GRID.n // 2]
     # conj(phi) * phi cell by cell: zero imaginary part up to FMA contraction
     assert np.abs(diag.imag).max() < 1e-16
     assert np.abs(diag.real - np.abs(state.values) ** 2).max() < 1e-15
@@ -128,13 +128,12 @@ def test_slice_diagonal_is_probability_density():
 
 
 def test_slice_grid_must_match_state():
-    # the state must sample GRID's own q axis: a difference in any one field is refused
+    # the state must sample GRID's own q axis: a difference in either field is refused
     state = sc.hermite_eigenstate(0, GRID.line, PAR)
     assert wg.wavefunction_to_slice(state, GRID, PAR).values.shape == (256, 256)
-    for field, line in [("q_min", ps.PositionGrid(-7.5, 8.0, 256)),
-                        ("q_max", ps.PositionGrid(-8.0, 7.5, 256)),
-                        ("n", ps.PositionGrid(-8.0, 8.0, 128)),
-                        ("all three", ps.PositionGrid(-10.0, 10.0, 512))]:
+    for field, line in [("q_max", ps.PositionGrid(7.5, 256)),
+                        ("n", ps.PositionGrid(8.0, 128)),
+                        ("both", ps.PositionGrid(10.0, 512))]:
         state = sc.hermite_eigenstate(0, line, PAR)
         with pytest.raises(GridMismatch, match="phase grid q axis must match"):
             wg.wavefunction_to_slice(state, GRID, PAR)
@@ -147,13 +146,13 @@ def test_slice_satisfies_invariants():
     assert _mirror_defect(rho) <= 1e-10
     # the diagonal rho(q, 0) is real and nonnegative
     scale = float(np.abs(rho.values).max())
-    diag = rho.values[:, GRID.n_p // 2]
+    diag = rho.values[:, GRID.n // 2]
     assert np.abs(diag.imag).max() <= 1e-10 * scale
     assert diag.real.min() >= -1e-10 * scale
 
 
 def test_shift_past_an_edge_does_not_wrap():
-    line = ps.PositionGrid(-8.0, 8.0, 256)
+    line = ps.PositionGrid(8.0, 256)
     packet = np.exp(-8.0 * (line.q - 5.0) ** 2)
     moved = _spectral.shifted(packet, line.length, [-6.0, 2.0])
     # the packet at q = 5 lands at 11, beyond the top edge; a periodic
@@ -164,7 +163,7 @@ def test_shift_past_an_edge_does_not_wrap():
 
 def _two_call_slice(phi, grid, par):
     """The slice as first built: two periodic shifts, each masked in q."""
-    n = grid.n_p
+    n = grid.n
     step = 2.0 * np.pi * par.hbar / (n * grid.dp)
     shifts = (np.arange(n) - n // 2) * step / 2.0
     k = _spectral.wavenumbers(phi.grid.n, phi.grid.length)
@@ -174,7 +173,7 @@ def _two_call_slice(phi, grid, par):
         out = np.fft.ifft(spectrum[None, :] * np.exp(1j * np.outer(s, k)), axis=1)
         out[n // 2] = phi.values
         x = phi.grid.q[None, :] + s[:, None]
-        return np.where((x >= grid.q_min) & (x < grid.q_max), out, 0.0)
+        return np.where((x >= -grid.q_max) & (x < grid.q_max), out, 0.0)
 
     return np.ascontiguousarray((np.conj(translates(-shifts)) * translates(shifts)).T)
 
@@ -183,7 +182,7 @@ def _two_call_slice(phi, grid, par):
 @pytest.mark.parametrize("par", [PAR, ps.PhysParams(2.54, 0.41, 0.28)])
 def test_slice_matches_two_call_construction_bit_for_bit(n, par):
     grid = ps.default_grid(8.0, n, par)
-    line = ps.PositionGrid(-8.0, 8.0, n)
+    line = ps.PositionGrid(8.0, n)
     for state in (sc.coherent_state(line, par, q0=1.0, p0=0.5),
                   sc.hermite_eigenstate(3, line, par)):
         rho = wg.wavefunction_to_slice(state, grid, par)
