@@ -186,9 +186,10 @@ FRAME_MASS_LIMIT = 1e-4
 
 def frame_mass(density: PhaseDensity) -> float:
     """Absolute mass in the outer two-cell frame of the grid."""
-    v = np.abs(density.values)
+    v = density.values
     k = FRAME_CELLS
-    total = v[:k, :].sum() + v[-k:, :].sum() + v[k:-k, :k].sum() + v[k:-k, -k:].sum()
+    strips = (v[:k, :], v[-k:, :], v[k:-k, :k], v[k:-k, -k:])
+    total = sum(np.abs(strip).sum() for strip in strips)
     return float(total * density.grid.dq * density.grid.dp)
 
 
@@ -245,7 +246,6 @@ def liouville_propagate(f: PhaseDensity, t: float, par: PhysParams) -> PhaseDens
         shear_q = _spectral.shear(grid.n, 2.0 * grid.q_max, -b * grid.p / mw, axis=0)
         shear_p = _spectral.shear(grid.n, 2.0 * grid.p_max, math.sin(a) * mw * grid.q, axis=1)
         shear_q(shear_p(shear_q(new_values)))  # each shear works in place
-        del shear_q, shear_p  # free the ramps before frame_mass takes |values|
     result = PhaseDensity(grid, new_values, f.time + t)
     leaked = frame_mass(result)
     if leaked > FRAME_MASS_LIMIT:

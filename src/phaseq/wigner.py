@@ -55,18 +55,20 @@ def _offset_step(grid: PhaseGrid, hbar: float) -> float:
     return 2.0 * np.pi * hbar / (grid.n * grid.dp)
 
 
-def _transform_phases(grid: PhaseGrid, delta: np.ndarray, hbar: float):
-    j = np.arange(grid.n)
-    inner = np.exp(1j * j * grid.dp * delta[0] / hbar)
-    outer = np.exp(1j * -grid.p_max * delta / hbar)
-    return inner, outer
+def _transform_phases(n: int):
+    """The kernel's phases exp(i j dp delta_0 / hbar) and exp(-i p_max delta_k / hbar).
+
+    On the centred window, with delta_k = (k - n/2) 2 pi hbar / (n dp) and
+    p_max = n dp / 2, both are exact signs: (-1)^j and (-1)^(k - n/2).
+    """
+    inner = np.where(np.arange(n) % 2, -1.0, 1.0)
+    return inner, (-1.0) ** (n // 2) * inner
 
 
 def wigner_forward(f: PhaseDensity, par: PhysParams) -> DensitySlice:
     """Integrate F against exp(+i p dq / hbar) dp along the momentum axis."""
     grid = f.grid
-    delta = (np.arange(grid.n) - grid.n // 2) * _offset_step(grid, par.hbar)
-    inner, outer = _transform_phases(grid, delta, par.hbar)
+    inner, outer = _transform_phases(grid.n)
     spectra = np.fft.ifft(f.values * inner[None, :], axis=1)
     values = grid.dp * grid.n * outer[None, :] * spectra
     return DensitySlice(grid, values, f.time, par.hbar)
@@ -80,9 +82,9 @@ def wigner_inverse(rho: DensitySlice) -> PhaseDensity:
     the only full-size array made is the real density returned.
     """
     grid = rho.grid
-    inner, outer = _transform_phases(grid, rho.delta, rho.hbar)
-    kernel = np.conj(outer)[None, :]
-    weight = (rho.delta_step / (2.0 * np.pi * rho.hbar)) * np.conj(inner)[None, :]
+    inner, outer = _transform_phases(grid.n)
+    kernel = outer[None, :]  # real signs, their own conjugates
+    weight = (rho.delta_step / (2.0 * np.pi * rho.hbar)) * inner[None, :]
     mirror = -np.arange(grid.n) % grid.n  # column j <- column -j mod n
     density = np.empty((grid.n, grid.n))
     peak = gap = scale = residue = 0.0

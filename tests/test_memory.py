@@ -31,9 +31,10 @@ FIELD = N * N * 8
 # The complex slice (2 fields) and the density (1) are the results; the
 # rest is blocks and masks.
 DENSITY_PEAK_FIELDS = 4.0
-# The copy that is transported (1), turned into place where the lattice is
-# square, and the two shear ramps (1 each).
-TRANSPORT_PEAK_FIELDS = 4.0
+# The copy that is transported (1), turned into place by whole quarter turns;
+# the shears hold only the small factor tables of their ramps and work on
+# blocks of lines, forming each block's ramp rows and mask as they go.
+TRANSPORT_PEAK_FIELDS = 2.0
 
 
 def _traced_peak(run):

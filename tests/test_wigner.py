@@ -161,16 +161,37 @@ def test_shift_past_an_edge_does_not_wrap():
     assert np.abs(moved[1] - np.exp(-8.0 * (line.q - 3.0) ** 2)).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("indices", ["fftfreq", "rfft"])
+def test_factored_ramp_matches_a_long_double_reference(n, indices):
+    # within 2 eps (1 + |angle|) of exp(i dk j s) evaluated in long double,
+    # cell by cell; one np.exp per cell reads about 1.5 eps (1 + |angle|)
+    if indices == "fftfreq":
+        j = (np.arange(n) + n // 2) % n - n // 2
+    else:
+        j = np.arange(n // 2 + 1)
+    rng = np.random.default_rng(n)
+    eps = np.finfo(np.float64).eps
+    for length in (16.0, 20.0, 7.3):
+        dk = 2.0 * np.pi / length
+        shifts = rng.uniform(-length, length, 64)
+        got = _spectral.ramp(j, dk, shifts)()
+        angle = np.longdouble(dk) * j.astype(np.longdouble) * shifts.astype(np.longdouble)[:, None]
+        error = np.hypot(got.real - np.cos(angle), got.imag - np.sin(angle)).astype(np.float64)
+        assert (error <= 2.0 * eps * (1.0 + np.abs(angle).astype(np.float64))).all()
+
+
 def _two_call_slice(phi, grid, par):
     """The slice as first built: two periodic shifts, each masked in q."""
     n = grid.n
     step = 2.0 * np.pi * par.hbar / (n * grid.dp)
     shifts = (np.arange(n) - n // 2) * step / 2.0
-    k = _spectral.wavenumbers(phi.grid.n, phi.grid.length)
+    j = (np.arange(n) + n // 2) % n - n // 2
     spectrum = np.fft.fft(phi.values)
 
     def translates(s):
-        out = np.fft.ifft(spectrum[None, :] * np.exp(1j * np.outer(s, k)), axis=1)
+        ramp = _spectral.ramp(j, 2.0 * np.pi / phi.grid.length, s)()
+        out = np.fft.ifft(spectrum[None, :] * ramp, axis=1)
         out[n // 2] = phi.values
         x = phi.grid.q[None, :] + s[:, None]
         return np.where((x >= -grid.q_max) & (x < grid.q_max), out, 0.0)
